@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .exact_linalg import IntMatrix, snf
 from .ehrhart import HStarVector, degree, hstar
-from .geometry import DEFAULT_BUDGET, LatticePoint, Polytope
+from .geometry import LatticePoint, Polytope, memo
 
 STATUS_CERTIFIED = "certified-idp"
 STATUS_PARTIAL = "checked-up-to-kmax"
@@ -66,34 +66,25 @@ class CastelnuovoVerdict:
         return {"verdict": self.verdict, "route": self.route, "reasons": dict(self.reasons)}
 
 
-def is_spanning(p: Polytope, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff the lattice points of P affinely generate Z^n.
-
-    Differences from a base lattice point are stacked into a matrix; the
-    polytope is spanning exactly when the Smith normal form has n invariant
-    factors, all equal to 1.
-    """
-    cached = p._extra_cache.get("spanning")
-    if cached is not None:
-        return cached
-    pts = sorted(p.lattice_points(1, budget))
-    base = pts[0]  # lexicographically smallest, for determinism
-    rows = [tuple(x - b for x, b in zip(q, base)) for q in pts[1:]]
-    factors = [x for x in snf(IntMatrix.from_rows(rows)).d if x != 0]
-    result = factors == [1] * p.dim
-    p._extra_cache["spanning"] = result
-    return result
+def is_spanning(p: Polytope) -> bool:
+    """True iff the lattice points of P affinely generate Z^n: the Smith
+    normal form behind :func:`spanning_invariant_factors` has n nonzero
+    invariant factors, all equal to 1."""
+    return [x for x in spanning_invariant_factors(p) if x != 0] == [1] * p.dim
 
 
-def spanning_invariant_factors(p: Polytope, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """The full invariant-factor list behind the spanning test."""
-    pts = sorted(p.lattice_points(1, budget))
+@memo
+def spanning_invariant_factors(p: Polytope) -> tuple[int, ...]:
+    """Invariant factors of the differences of P's lattice points from the
+    lexicographically smallest one (chosen for determinism)."""
+    pts = sorted(p.lattice_points(1))
     base = pts[0]
     rows = [tuple(x - b for x, b in zip(q, base)) for q in pts[1:]]
     return snf(IntMatrix.from_rows(rows)).d
 
 
-def idp_check(p: Polytope, kmax: int | None = None, budget: int = DEFAULT_BUDGET) -> IdpVerdict:
+@memo
+def idp_check(p: Polytope, kmax: int | None = None) -> IdpVerdict:
     """Decide the integer decomposition property by sumset comparison.
 
     For k = 2..kmax it checks that every lattice point of kP is a sum of a
@@ -105,10 +96,10 @@ def idp_check(p: Polytope, kmax: int | None = None, budget: int = DEFAULT_BUDGET
     n = p.dim
     cutoff = max(2, n - 1)
     k_top = cutoff if kmax is None else kmax
-    ground = p.lattice_points(1, budget)
+    ground = p.lattice_points(1)
     prev = ground
     for k in range(2, k_top + 1):
-        target = p.lattice_points(k, budget)
+        target = p.lattice_points(k)
         sumset = {tuple(a + b for a, b in zip(x, y)) for x in prev for y in ground}
         missing = target - sumset
         if missing:
@@ -139,19 +130,19 @@ def genus_data(h: HStarVector) -> GenusData:
     )
 
 
-def is_castelnuovo(p: Polytope, budget: int = DEFAULT_BUDGET) -> CastelnuovoVerdict:
+def is_castelnuovo(p: Polytope) -> CastelnuovoVerdict:
     """Castelnuovo test via the h*-shape characterization.
 
     A normalized volume of 1 means the polytope is a unimodular simplex,
     which is Castelnuovo by convention (its pair is projective space with
     the hyperplane bundle); the shape conditions are not consulted there.
     """
-    h = hstar(p, budget)
+    h = hstar(p)
     if h.volume == 1:
         return CastelnuovoVerdict(True, ROUTE_VOLUME_ONE, {"volume_one": True})
-    s = degree(p, budget)
+    s = degree(p)
     c = h.coeffs
-    spanning = is_spanning(p, budget)
+    spanning = is_spanning(p)
     tail = c[1] >= c[s]
     flat = all(c[1] == c[j] for j in range(2, s))
     return CastelnuovoVerdict(
@@ -161,17 +152,17 @@ def is_castelnuovo(p: Polytope, budget: int = DEFAULT_BUDGET) -> CastelnuovoVerd
     )
 
 
-def is_castelnuovo_direct(p: Polytope, budget: int = DEFAULT_BUDGET) -> CastelnuovoVerdict:
+def is_castelnuovo_direct(p: Polytope) -> CastelnuovoVerdict:
     """Castelnuovo test by attainment of the sectional-genus upper bound.
 
     Independent route: spanning (birationality), h0 >= n+2, and genus equal
     to the bound, all computed through GenusData.
     """
-    h = hstar(p, budget)
+    h = hstar(p)
     if h.volume == 1:
         return CastelnuovoVerdict(True, ROUTE_VOLUME_ONE, {"volume_one": True})
     g = genus_data(h)
-    spanning = is_spanning(p, budget)
+    spanning = is_spanning(p)
     h0_ok = g.h0 >= p.dim + 2
     attained = g.bound is not None and g.genus == g.bound
     return CastelnuovoVerdict(
@@ -181,7 +172,7 @@ def is_castelnuovo_direct(p: Polytope, budget: int = DEFAULT_BUDGET) -> Castelnu
     )
 
 
-def audit_bounds(p: Polytope, budget: int = DEFAULT_BUDGET) -> dict:
+def audit_bounds(p: Polytope) -> dict:
     """Check the known h*-inequalities on one polytope.
 
     * interior lower bound: with an interior lattice point,
@@ -195,12 +186,12 @@ def audit_bounds(p: Polytope, budget: int = DEFAULT_BUDGET) -> dict:
     Returns a JSON-friendly dict with applicability flags; inapplicable
     checks report holds = None.
     """
-    h = hstar(p, budget)
+    h = hstar(p)
     c = h.coeffs
     n = p.dim
-    s = degree(p, budget)
-    spanning = is_spanning(p, budget)
-    has_interior = p.interior_lattice_count(1, budget) > 0
+    s = degree(p)
+    spanning = is_spanning(p)
+    has_interior = p.interior_lattice_count(1) > 0
 
     hibi = {"applicable": has_interior, "holds": None}
     if has_interior:
@@ -227,34 +218,32 @@ def audit_bounds(p: Polytope, budget: int = DEFAULT_BUDGET) -> dict:
     return {"hibi": hibi, "hkn": hkn, "volume": vol}
 
 
-def audit_castelnuovo_implies_idp(
-    p: Polytope, kmax: int | None = None, budget: int = DEFAULT_BUDGET
-) -> str:
+def audit_castelnuovo_implies_idp(p: Polytope, kmax: int | None = None) -> str:
     """Every Castelnuovo polytope must be IDP; returns pass/fail/inapplicable."""
-    if not is_castelnuovo(p, budget).verdict:
+    if not is_castelnuovo(p).verdict:
         return "inapplicable"
-    verdict = idp_check(p, kmax, budget)
+    verdict = idp_check(p, kmax)
     return "pass" if verdict.is_idp_certified else "fail"
 
 
-def audit_degree_two_idp(p: Polytope, budget: int = DEFAULT_BUDGET) -> str:
+def audit_degree_two_idp(p: Polytope) -> str:
     """Degree-2 polytopes with h*_1 >= h*_2 must be IDP, with no spanning
     hypothesis; returns pass/fail/inapplicable."""
-    h = hstar(p, budget)
-    if degree(p, budget) != 2 or h.coeffs[1] < h.coeffs[2]:
+    h = hstar(p)
+    if degree(p) != 2 or h.coeffs[1] < h.coeffs[2]:
         return "inapplicable"
-    return "pass" if idp_check(p, budget=budget).is_idp_certified else "fail"
+    return "pass" if idp_check(p).is_idp_certified else "fail"
 
 
-def audit_interior_flatness(p: Polytope, budget: int = DEFAULT_BUDGET) -> dict:
+def audit_interior_flatness(p: Polytope) -> dict:
     """For polytopes with interior lattice points, Castelnuovo must coincide
     with flatness of h*_2..h*_{n-1} at h*_1, and h*_1 >= h*_n must hold."""
     n = p.dim
-    if p.interior_lattice_count(1, budget) == 0:
+    if p.interior_lattice_count(1) == 0:
         return {"applicable": False, "holds": None, "tail_holds": None}
-    c = hstar(p, budget).coeffs
+    c = hstar(p).coeffs
     flat = all(c[1] == c[j] for j in range(2, n))
-    castel = is_castelnuovo(p, budget).verdict
+    castel = is_castelnuovo(p).verdict
     return {
         "applicable": True,
         "holds": castel == flat,

@@ -18,7 +18,7 @@ from .corpus import render_corpus_text, run_corpus
 from .errors import CastelpolyError, PolytopeFileError, UnknownExample
 from .geometry import DEFAULT_BUDGET, build_polytope
 from .registry import REGISTRY_KEYS, run_example
-from .report import build_report, render_text
+from .report import build_report, failed_checks, render_text
 
 
 def read_polytope_file(path: str) -> tuple[str, list[tuple[int, ...]]]:
@@ -42,7 +42,7 @@ def read_polytope_file(path: str) -> tuple[str, list[tuple[int, ...]]]:
             raise PolytopeFileError(f"{path}: field 'vertices' must be a nonempty list")
         out = []
         for i, row in enumerate(verts):
-            if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+            if not isinstance(row, list) or not all(type(x) is int for x in row):
                 raise PolytopeFileError(
                     f"{path}: vertices[{i}] must be a list of integers, got {row!r}"
                 )
@@ -69,15 +69,13 @@ def read_polytope_file(path: str) -> tuple[str, list[tuple[int, ...]]]:
 
 def _cmd_analyze(args) -> int:
     name, verts = read_polytope_file(args.file)
-    p = build_polytope(verts)
-    report = build_report(p, name=name, kmax=args.kmax, budget=args.budget)
+    p = build_polytope(verts, args.budget)
+    report = build_report(p, name=name, kmax=args.kmax)
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         print(render_text(report))
-    if not report["castelnuovo"]["routes_agree"]:
-        return 1
-    return 0
+    return 1 if failed_checks(report) else 0
 
 
 def _cmd_examples(args) -> int:
@@ -111,8 +109,8 @@ def _cmd_idp(args) -> int:
     from .classification import idp_check
 
     name, verts = read_polytope_file(args.file)
-    p = build_polytope(verts)
-    verdict = idp_check(p, kmax=args.kmax, budget=args.budget)
+    p = build_polytope(verts, args.budget)
+    verdict = idp_check(p, kmax=args.kmax)
     if verdict.witness is None:
         print(f"{name}: {verdict.status} (k <= {verdict.kmax_checked})")
         return 0
@@ -169,6 +167,12 @@ def main(argv=None) -> int:
     pi.set_defaults(func=_cmd_idp)
 
     args = parser.parse_args(argv)
+    # checked here, not by argparse: its exit 2 means a counterexample to `idp`
+    for option in ("budget", "kmax"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            print(f"error: --{option} must be at least 1, got {value}", file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except (PolytopeFileError, UnknownExample) as e:

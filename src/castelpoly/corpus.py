@@ -43,11 +43,13 @@ AUDIT_NAMES = (
 OUTCOMES = ("pass", "fail", "inapplicable", "skipped", "anomaly")
 
 
-def generate_corpus(dim: int, coord_bound: int, count: int, seed: int) -> list[Polytope]:
+def generate_corpus(
+    dim: int, coord_bound: int, count: int, seed: int, budget: int = DEFAULT_BUDGET
+) -> list[Polytope]:
     """Deterministic random full-dimensional lattice polytopes.
 
     Samples dim+1..dim+4 points in the coordinate box and keeps the hull
-    whenever it is full-dimensional.
+    whenever it is full-dimensional; ``budget`` is each polytope's scan budget.
     """
     rng = random.Random(seed)
     out: list[Polytope] = []
@@ -62,7 +64,7 @@ def generate_corpus(dim: int, coord_bound: int, count: int, seed: int) -> list[P
             for _ in range(npts)
         ]
         try:
-            out.append(build_polytope(pts))
+            out.append(build_polytope(pts, budget))
         except NotFullDimensional:
             continue
     return out
@@ -74,15 +76,15 @@ def _tri(applicable, ok):
     return "pass" if ok else "fail"
 
 
-def audit_polytope(p: Polytope, budget: int = DEFAULT_BUDGET) -> dict[str, str]:
+def audit_polytope(p: Polytope) -> dict[str, str]:
     """Run the full audit battery on one polytope; every outcome is one of
     pass/fail/inapplicable, or skipped across the board on budget exhaustion."""
     try:
         results: dict[str, str] = {}
-        agree = is_castelnuovo(p, budget).verdict == is_castelnuovo_direct(p, budget).verdict
+        agree = is_castelnuovo(p).verdict == is_castelnuovo_direct(p).verdict
         results["route_agreement"] = "pass" if agree else "fail"
 
-        bounds = audit_bounds(p, budget)
+        bounds = audit_bounds(p)
         results["hibi_bound"] = _tri(bounds["hibi"]["applicable"], bounds["hibi"]["holds"])
         results["hkn_bound"] = _tri(bounds["hkn"]["applicable"], bounds["hkn"]["holds"])
         vol = bounds["volume"]
@@ -90,18 +92,18 @@ def audit_polytope(p: Polytope, budget: int = DEFAULT_BUDGET) -> dict[str, str]:
             vol["applicable"], vol["holds"] and vol["equality_iff_flat"]
         )
 
-        results["castelnuovo_implies_idp"] = audit_castelnuovo_implies_idp(p, budget=budget)
-        results["degree_two_idp"] = audit_degree_two_idp(p, budget)
-        bm = betke_mcmullen_check(p, budget)
+        results["castelnuovo_implies_idp"] = audit_castelnuovo_implies_idp(p)
+        results["degree_two_idp"] = audit_degree_two_idp(p)
+        bm = betke_mcmullen_check(p)
         results["betke_mcmullen"] = _tri(True, bm["consistent"])
 
-        flat = audit_interior_flatness(p, budget)
+        flat = audit_interior_flatness(p)
         results["interior_flatness"] = _tri(
             flat["applicable"], flat["holds"] and flat["tail_holds"]
         )
 
-        h = hstar(p, budget)
-        flat_hypothesis = p.interior_lattice_count(1, budget) > 0 and all(
+        h = hstar(p)
+        flat_hypothesis = p.interior_lattice_count(1) > 0 and all(
             h.coeffs[1] == h.coeffs[j] for j in range(2, p.dim)
         )
         if not flat_hypothesis:
@@ -110,18 +112,13 @@ def audit_polytope(p: Polytope, budget: int = DEFAULT_BUDGET) -> dict[str, str]:
             results["flat_interior_unimodular"] = "pass" if bm["unimodular"] else "anomaly"
 
         roundtrip = all(
-            ehrhart_eval(h, k) == p.lattice_count(k, budget)
+            ehrhart_eval(h, k) == p.lattice_count(k)
             for k in range(2 * p.dim + 1)
         )
         results["ehrhart_roundtrip"] = "pass" if roundtrip else "fail"
         return results
     except BudgetExceeded:
         return {name: "skipped" for name in AUDIT_NAMES}
-
-
-def _audit_task(args):
-    p, budget = args
-    return audit_polytope(p, budget)
 
 
 def run_corpus(
@@ -133,12 +130,12 @@ def run_corpus(
     jobs: int = 1,
 ) -> dict:
     """Generate, audit, and tally; deterministic for a fixed seed."""
-    polys = generate_corpus(dim, coord_bound, count, seed)
+    polys = generate_corpus(dim, coord_bound, count, seed, budget)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            all_results = list(ex.map(_audit_task, [(p, budget) for p in polys]))
+            all_results = list(ex.map(audit_polytope, polys))
     else:
-        all_results = [audit_polytope(p, budget) for p in polys]
+        all_results = [audit_polytope(p) for p in polys]
 
     tallies = {name: {o: 0 for o in OUTCOMES} for name in AUDIT_NAMES}
     failures = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CrossCheckMismatch, InvariantViolation
-from .geometry import DEFAULT_BUDGET, Polytope
+from .geometry import Polytope, memo
 
 
 @dataclass(frozen=True)
@@ -54,26 +54,22 @@ class EhrhartProfile:
             raise InvariantViolation("counts must be positive and nondecreasing")
 
 
-def ehrhart_profile(p: Polytope, kmax: int | None = None, budget: int = DEFAULT_BUDGET) -> EhrhartProfile:
+def ehrhart_profile(p: Polytope, kmax: int | None = None) -> EhrhartProfile:
     """Count the first kmax dilates (default: the ambient dimension)."""
     kmax = p.dim if kmax is None else kmax
-    return EhrhartProfile(
-        tuple(p.lattice_count(k, budget) for k in range(kmax + 1))
-    )
+    return EhrhartProfile(tuple(p.lattice_count(k) for k in range(kmax + 1)))
 
 
-def hstar(p: Polytope, budget: int = DEFAULT_BUDGET) -> HStarVector:
+@memo
+def hstar(p: Polytope) -> HStarVector:
     """The h*-vector of p, with its defining identities verified.
 
     Postconditions checked before returning: h*_0 = 1, nonnegativity,
     h*_1 = |P cap Z^n| - (n+1), and h*_n = interior count of P itself.
     A failure here is an implementation bug, not bad input.
     """
-    cached = p._extra_cache.get("hstar")
-    if cached is not None:
-        return cached
     n = p.dim
-    counts = ehrhart_profile(p, n, budget).counts
+    counts = ehrhart_profile(p, n).counts
     coeffs = tuple(
         sum((-1) ** j * comb(n + 1, j) * counts[i - j] for j in range(i + 1))
         for i in range(n + 1)
@@ -81,22 +77,19 @@ def hstar(p: Polytope, budget: int = DEFAULT_BUDGET) -> HStarVector:
     h = HStarVector(n, coeffs)  # constructor checks h*_0 and nonnegativity
     if h.coeffs[1] != counts[1] - (n + 1):
         raise InvariantViolation("h*_1 does not match the lattice point count")
-    if h.coeffs[n] != p.interior_lattice_count(1, budget):
+    if h.coeffs[n] != p.interior_lattice_count(1):
         raise InvariantViolation("h*_n does not match the interior point count")
-    p._extra_cache["hstar"] = h
     return h
 
 
-def degree(p: Polytope, budget: int = DEFAULT_BUDGET) -> int:
+@memo
+def degree(p: Polytope) -> int:
     """deg(P), computed from the h*-support and independently from the first
     dilate with an interior lattice point; the two routes must agree."""
-    cached = p._extra_cache.get("degree")
-    if cached is not None:
-        return cached
-    s = hstar(p, budget).degree
+    s = hstar(p).degree
     n = p.dim
     first_interior = next(
-        (k for k in range(1, n + 2) if p.interior_lattice_count(k, budget) > 0),
+        (k for k in range(1, n + 2) if p.interior_lattice_count(k) > 0),
         None,
     )
     if first_interior is None:
@@ -109,13 +102,12 @@ def degree(p: Polytope, budget: int = DEFAULT_BUDGET) -> int:
             f"h*-support gives degree {s} but the first interior dilate "
             f"{first_interior} gives {n + 1 - first_interior}"
         )
-    p._extra_cache["degree"] = s
     return s
 
 
-def normalized_volume(p: Polytope, budget: int = DEFAULT_BUDGET) -> int:
+def normalized_volume(p: Polytope) -> int:
     """n! times the Euclidean volume: the h*-coefficient sum."""
-    return hstar(p, budget).volume
+    return hstar(p).volume
 
 
 def ehrhart_eval(h: HStarVector, k: int) -> int:

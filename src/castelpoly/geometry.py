@@ -11,6 +11,8 @@ so results are exact on every path.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,7 +84,7 @@ def _cross(diffs, n):
     return tuple(normal)
 
 
-def _facets_of_points(points, n, subset_cap=DEFAULT_SUBSET_CAP):
+def _facets_of_points(points, n):
     """All facets of conv(points), assuming the points affinely span R^n.
 
     Tries every n-subset spanning a hyperplane and keeps the inequality when
@@ -91,9 +93,9 @@ def _facets_of_points(points, n, subset_cap=DEFAULT_SUBSET_CAP):
     enumeration is complete and irredundant after deduplication.
     """
     m = len(points)
-    if comb(m, n) > subset_cap:
+    if comb(m, n) > DEFAULT_SUBSET_CAP:
         raise SubsetCapExceeded(
-            f"facet enumeration over C({m},{n}) vertex subsets exceeds the cap {subset_cap}"
+            f"facet enumeration over C({m},{n}) vertex subsets exceeds the cap {DEFAULT_SUBSET_CAP}"
         )
     seen = {}
     for subset in itertools.combinations(range(m), n):
@@ -125,34 +127,43 @@ def _facets_of_points(points, n, subset_cap=DEFAULT_SUBSET_CAP):
     return sorted(seen.values())
 
 
+def memo(fn):
+    """Memoize ``fn(p, ...)`` in the memo dict of the polytope ``p``, keyed by
+    fn's qualified name and its other arguments with defaults filled in."""
+    sig = inspect.signature(fn)
+    arity = len(sig.parameters)
+
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        key = (fn.__qualname__, *args[1:])
+        table = args[0]._memo
+        if key not in table:
+            table[key] = fn(*args)
+        return table[key]
+
+    return cached
+
+
 class Polytope:
     """Immutable full-dimensional lattice polytope (vertices + facets).
 
-    Use :func:`build_polytope`; the constructor trusts its arguments.
-    Lattice point scans are cached per dilate, so repeated invariant
-    computations reuse the counting work.
+    Use :func:`build_polytope`, which also fixes ``budget``, the cap on the
+    bounding-box cells of one dilate scan; invariants are memoized per polytope.
     """
 
-    __slots__ = (
-        "dim",
-        "vertices",
-        "facets",
-        "discarded_points",
-        "_count_cache",
-        "_points_cache",
-        "_edges_cache",
-        "_extra_cache",
-    )
+    __slots__ = ("dim", "vertices", "facets", "discarded_points", "budget", "_memo")
 
     def __init__(self, dim, vertices, facets, discarded_points=()):
         self.dim = dim
         self.vertices = tuple(sorted(vertices))
         self.facets = tuple(sorted(facets))
         self.discarded_points = tuple(sorted(discarded_points))
-        self._count_cache: dict[int, tuple[int, int]] = {}
-        self._points_cache: dict[int, frozenset[LatticePoint]] = {}
-        self._edges_cache = None
-        self._extra_cache: dict = {}
+        self.budget = DEFAULT_BUDGET
+        self._memo: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.vertices == other.vertices
@@ -203,7 +214,7 @@ class Polytope:
         )
         return kb_max < _INT64_SAFE and dot_max < _INT64_SAFE
 
-    def _scan(self, k, budget, collect: bool):
+    def _scan(self, k, collect: bool):
         """One pass over the integer bounding box of kP.
 
         Returns (closed_count, interior_count, points or None). The interior
@@ -214,8 +225,8 @@ class Polytope:
         los, his = self._box(k)
         widths = [hi - lo + 1 for lo, hi in zip(los, his)]
         total = prod(widths)
-        if total > budget:
-            raise BudgetExceeded(total, budget)
+        if total > self.budget:
+            raise BudgetExceeded(total, self.budget)
         normals = [f.normal for f in self.facets]
         offsets = [k * f.offset for f in self.facets]
         if total < _INT64_SAFE and self._numpy_safe(k, los, his):
@@ -271,32 +282,32 @@ class Polytope:
                 interior += 1
         return closed, interior, frozenset(pts) if collect else None
 
-    def lattice_count(self, k: int, budget: int = DEFAULT_BUDGET) -> int:
+    @memo
+    def _counts(self, k):
+        """(closed, interior) lattice-point counts of kP."""
+        closed, interior, _ = self._scan(k, collect=False)
+        return closed, interior
+
+    def lattice_count(self, k: int) -> int:
         """|kP intersect Z^n| without materializing the point set."""
         if k == 0:
             return 1
-        if k not in self._count_cache:
-            closed, interior, _ = self._scan(k, budget, collect=False)
-            self._count_cache[k] = (closed, interior)
-        return self._count_cache[k][0]
+        return self._counts(k)[0]
 
-    def interior_lattice_count(self, k: int, budget: int = DEFAULT_BUDGET) -> int:
-        if k not in self._count_cache:
-            closed, interior, _ = self._scan(k, budget, collect=False)
-            self._count_cache[k] = (closed, interior)
-        return self._count_cache[k][1]
+    def interior_lattice_count(self, k: int) -> int:
+        return self._counts(k)[1]
 
-    def lattice_points(self, k: int, budget: int = DEFAULT_BUDGET) -> frozenset[LatticePoint]:
+    @memo
+    def lattice_points(self, k: int) -> frozenset[LatticePoint]:
         """The integer points of the dilate kP."""
-        if k not in self._points_cache:
-            closed, interior, pts = self._scan(k, budget, collect=True)
-            self._count_cache.setdefault(k, (closed, interior))
-            self._points_cache[k] = pts
-        return self._points_cache[k]
+        closed, interior, pts = self._scan(k, collect=True)
+        # the collecting scan also counted, so later counts of kP need no scan
+        self._memo.setdefault(("Polytope._counts", k), (closed, interior))
+        return pts
 
-    def interior_lattice_points(self, k: int, budget: int = DEFAULT_BUDGET) -> frozenset[LatticePoint]:
+    def interior_lattice_points(self, k: int) -> frozenset[LatticePoint]:
         """Integer points strictly inside kP (filtered from the closed set)."""
-        pts = self.lattice_points(k, budget)
+        pts = self.lattice_points(k)
         return frozenset(
             p
             for p in pts
@@ -308,6 +319,7 @@ class Polytope:
     def active_facets(self, x) -> tuple[Facet, ...]:
         return tuple(f for f in self.facets if f.value(x) == f.offset)
 
+    @memo
     def edges(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
         """Vertex pairs whose common active facet normals have rank n-1.
 
@@ -315,18 +327,16 @@ class Polytope:
         intersection of the facets containing both, so that rank condition
         says the pair spans a 1-dimensional face.
         """
-        if self._edges_cache is None:
-            n = self.dim
-            out = []
-            active = {v: self.active_facets(v) for v in self.vertices}
-            for u, v in itertools.combinations(self.vertices, 2):
-                common = [f.normal for f in active[u] if f.value(v) == f.offset]
-                if len(common) < n - 1:
-                    continue
-                if n == 1 or rank(IntMatrix.from_rows(common)) == n - 1:
-                    out.append((u, v))
-            self._edges_cache = tuple(out)
-        return self._edges_cache
+        n = self.dim
+        out = []
+        active = {v: self.active_facets(v) for v in self.vertices}
+        for u, v in itertools.combinations(self.vertices, 2):
+            common = [f.normal for f in active[u] if f.value(v) == f.offset]
+            if len(common) < n - 1:
+                continue
+            if n == 1 or rank(IntMatrix.from_rows(common)) == n - 1:
+                out.append((u, v))
+        return tuple(out)
 
     def is_smooth(self) -> bool:
         """Simple with primitive edge directions forming a lattice basis at
@@ -348,12 +358,13 @@ class Polytope:
         return True
 
 
-def build_polytope(points, subset_cap: int = DEFAULT_SUBSET_CAP) -> Polytope:
+def build_polytope(points, budget: int = DEFAULT_BUDGET) -> Polytope:
     """Validate points, enumerate facets, and classify vertices.
 
     Non-vertex input points (convex combinations of the others) are discarded
     but reported on the result; degenerate input is a hard error because every
-    downstream invariant assumes full dimension.
+    downstream invariant assumes full dimension. A dilate scan of the result
+    beyond ``budget`` bounding-box cells raises :class:`BudgetExceeded`.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     if not pts:
@@ -368,7 +379,7 @@ def build_polytope(points, subset_cap: int = DEFAULT_SUBSET_CAP) -> Polytope:
         raise NotFullDimensional(
             f"affine hull has dimension {_affine_rank(unique)} < ambient {n}"
         )
-    facets = _facets_of_points(unique, n, subset_cap)
+    facets = _facets_of_points(unique, n)
     vertices = []
     discarded = []
     for p in unique:
@@ -377,4 +388,6 @@ def build_polytope(points, subset_cap: int = DEFAULT_SUBSET_CAP) -> Polytope:
             vertices.append(p)
         else:
             discarded.append(p)
-    return Polytope(n, vertices, facets, discarded)
+    p = Polytope(n, vertices, facets, discarded)
+    p.budget = budget
+    return p

@@ -12,36 +12,31 @@ from .classification import (
     spanning_invariant_factors,
 )
 from .ehrhart import degree, hstar, normalized_volume
-from .geometry import DEFAULT_BUDGET, Polytope
-from .triangulation import betke_mcmullen_check, h_vector, is_unimodular, pulling_triangulation
+from .geometry import Polytope
+from .triangulation import betke_mcmullen_check, pulling_triangulation
 
 
-def build_report(
-    p: Polytope,
-    name: str = "polytope",
-    kmax: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> dict:
-    h = hstar(p, budget)
+def build_report(p: Polytope, name: str = "polytope", kmax: int | None = None) -> dict:
+    h = hstar(p)
     g = genus_data(h)
-    idp = idp_check(p, kmax, budget)
-    castel = is_castelnuovo(p, budget)
-    direct = is_castelnuovo_direct(p, budget)
-    tri = pulling_triangulation(p, budget)
-    bm = betke_mcmullen_check(p, budget)
+    idp = idp_check(p, kmax)
+    castel = is_castelnuovo(p)
+    direct = is_castelnuovo_direct(p)
+    tri = pulling_triangulation(p)
+    bm = betke_mcmullen_check(p)
     report = {
         "name": name,
         "dim": p.dim,
         "vertex_count": len(p.vertices),
         "vertices": [list(v) for v in p.vertices],
         "nonvertex_input_points": [list(v) for v in p.discarded_points],
-        "lattice_point_count": p.lattice_count(1, budget),
-        "interior_lattice_point_count": p.interior_lattice_count(1, budget),
+        "lattice_point_count": p.lattice_count(1),
+        "interior_lattice_point_count": p.interior_lattice_count(1),
         "hstar": list(h.coeffs),
-        "degree": degree(p, budget),
-        "normalized_volume": normalized_volume(p, budget),
-        "spanning": is_spanning(p, budget),
-        "spanning_invariant_factors": list(spanning_invariant_factors(p, budget)),
+        "degree": degree(p),
+        "normalized_volume": normalized_volume(p),
+        "spanning": is_spanning(p),
+        "spanning_invariant_factors": list(spanning_invariant_factors(p)),
         "smooth": p.is_smooth(),
         "idp": {
             "status": idp.status,
@@ -64,16 +59,31 @@ def build_report(
             "direct": direct.as_dict(),
             "routes_agree": castel.verdict == direct.verdict,
         },
-        "bound_audits": audit_bounds(p, budget),
+        "bound_audits": audit_bounds(p),
         "triangulation": {
             "points": len(tri.points),
             "maximal_simplices": len(tri.maximal_simplices),
-            "unimodular": is_unimodular(tri),
-            "h": list(h_vector(tri).h),
+            "unimodular": bm["unimodular"],
+            "h": bm["h_triangulation"],
             "betke_mcmullen_consistent": bm["consistent"],
         },
     }
     return report
+
+
+def failed_checks(report: dict) -> list[str]:
+    """The checks that :func:`render_text` prints as a route mismatch,
+    VIOLATED or INCONSISTENT; an inapplicable check (None) has not failed."""
+    b = report["bound_audits"]
+    checks = {
+        "routes_agree": report["castelnuovo"]["routes_agree"],
+        "hibi": b["hibi"]["holds"],
+        "hkn": b["hkn"]["holds"],
+        "volume": b["volume"]["holds"],
+        "equality_iff_flat": b["volume"]["equality_iff_flat"],
+        "betke_mcmullen_consistent": report["triangulation"]["betke_mcmullen_consistent"],
+    }
+    return [name for name, ok in checks.items() if ok is False]
 
 
 def render_text(report: dict) -> str:

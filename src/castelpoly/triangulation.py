@@ -16,13 +16,7 @@ from math import comb
 from .ehrhart import hstar, normalized_volume
 from .errors import InvariantViolation
 from .exact_linalg import det
-from .geometry import (
-    DEFAULT_BUDGET,
-    LatticePoint,
-    Polytope,
-    _dot,
-    _facets_of_points,
-)
+from .geometry import LatticePoint, Polytope, _dot, _facets_of_points, memo
 
 
 @dataclass(frozen=True)
@@ -53,13 +47,11 @@ class HVector:
     h: tuple[int, ...]
 
 
-def pulling_triangulation(p: Polytope, budget: int = DEFAULT_BUDGET) -> Triangulation:
+@memo
+def pulling_triangulation(p: Polytope) -> Triangulation:
     """Deterministic pulling triangulation on all lattice points of P."""
-    cached = p._extra_cache.get("triangulation")
-    if cached is not None:
-        return cached
     n = p.dim
-    points = tuple(sorted(p.lattice_points(1, budget)))
+    points = tuple(sorted(p.lattice_points(1)))
     index = {pt: i for i, pt in enumerate(points)}
 
     facet_cache: dict[tuple[int, ...], list] = {}
@@ -96,11 +88,10 @@ def pulling_triangulation(p: Polytope, budget: int = DEFAULT_BUDGET) -> Triangul
         raise InvariantViolation("pulling produced duplicate cells")
     t = Triangulation(n, points, tuple(sorted(cells)))
     covered = sum(t.simplex_volume(s) for s in t.maximal_simplices)
-    if covered != normalized_volume(p, budget):
+    if covered != normalized_volume(p):
         raise InvariantViolation(
             "triangulation volumes do not add up to the normalized volume"
         )
-    p._extra_cache["triangulation"] = t
     return t
 
 
@@ -127,12 +118,12 @@ def is_unimodular(t: Triangulation) -> bool:
     return all(t.simplex_volume(s) == 1 for s in t.maximal_simplices)
 
 
-def betke_mcmullen_check(p: Polytope, budget: int = DEFAULT_BUDGET) -> dict:
+def betke_mcmullen_check(p: Polytope) -> dict:
     """Cross-validate: the pulling triangulation is unimodular exactly when
     its h-vector (truncated to h_0..h_n) equals the h*-vector."""
-    t = pulling_triangulation(p, budget)
+    t = pulling_triangulation(p)
     hv = h_vector(t)
-    hs = hstar(p, budget)
+    hs = hstar(p)
     unimodular = is_unimodular(t)
     matches = hv.h[: p.dim + 1] == hs.coeffs
     return {

@@ -1,21 +1,24 @@
-"""Shared polytope builders for the test suite."""
+"""Shared polytope builders for the test suite, on the registry's vertex data."""
+
+import itertools
 
 import pytest
 
 from castelpoly.geometry import build_polytope
-
-
-def unit(i, n):
-    return tuple(int(j == i) for j in range(n))
+from castelpoly.registry import (
+    family_vertices,
+    nonspanning_dim4_vertices,
+    reflexive_simplex_vertices,
+    square_2x2_vertices,
+    standard_simplex_vertices,
+)
 
 
 def standard_simplex(n):
-    return build_polytope([tuple([0] * n)] + [unit(i, n) for i in range(n)])
+    return build_polytope(standard_simplex_vertices(n))
 
 
 def unit_cube(n):
-    import itertools
-
     return build_polytope(list(itertools.product((0, 1), repeat=n)))
 
 
@@ -24,38 +27,22 @@ def unit_square():
 
 
 def square_2x2():
-    return build_polytope([(0, 0), (2, 0), (0, 2), (2, 2)])
+    return build_polytope(square_2x2_vertices())
 
 
 def reflexive_simplex_3():
-    return build_polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    return build_polytope(reflexive_simplex_vertices())
 
 
 def nonspanning_dim4():
     """Six vertices in dimension 4; flat h* but lattice points only span an
     index-2 sublattice (the last coordinate is always even)."""
-    return build_polytope(
-        [
-            (0, 0, 0, 0),
-            (1, 0, 0, 0),
-            (0, 1, 0, 0),
-            (0, 0, 1, 0),
-            (1, 1, 0, 2),
-            (1, 0, -1, 0),
-        ]
-    )
+    return build_polytope(nonspanning_dim4_vertices())
 
 
 def spanning_non_idp_family(a):
     """Spanning polytopes in dimension 2a+1 that are not IDP."""
-    n = 2 * a + 1
-    pts = [tuple([0] * n)]
-    pts += [unit(i, n) for i in range(2 * a)]
-    special = tuple([1] * a + [2] * a + [3])
-    pts.append(special)
-    last = tuple(0 if i < a + 1 else -1 for i in range(n))
-    pts.append(last)
-    return build_polytope(pts)
+    return build_polytope(family_vertices(a))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from castelpoly import cli
 from castelpoly.cli import main, read_polytope_file
 from castelpoly.corpus import generate_corpus, run_corpus
 from castelpoly.errors import PolytopeFileError
@@ -44,6 +45,8 @@ def test_read_file_errors(tmp_path):
         read_polytope_file(write(tmp_path, "bad2.json", "{broken"))
     with pytest.raises(PolytopeFileError, match=r"vertices\[1\]"):
         read_polytope_file(write(tmp_path, "bad3.json", '{"vertices": [[1,0],[0.5,1]]}'))
+    with pytest.raises(PolytopeFileError, match=r"vertices\[1\]"):
+        read_polytope_file(write(tmp_path, "bad4.json", '{"vertices": [[0,0],[true,0],[0,1]]}'))
 
 
 def test_analyze_nonspanning_file(tmp_path, capsys):
@@ -76,6 +79,53 @@ def test_analyze_malformed_exits_nonzero(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "0 0\nx y\n")
     assert main(["analyze", path]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "idp"])
+@pytest.mark.parametrize("option", ["--budget", "--kmax"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_option_below_one_is_refused(tmp_path, capsys, command, option, value):
+    path = write(tmp_path, "sq.txt", "0 0\n1 0\n0 1\n1 1\n")
+    assert main([command, path, option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be at least 1")
+
+
+def test_corpus_budget_below_one_is_refused(capsys):
+    args = ["corpus", "--dim", "2", "--count", "1", "--seed", "0", "--budget", "0"]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: --budget")
+
+
+@pytest.mark.parametrize(
+    "path, printed",
+    [
+        (("bound_audits", "hibi", "holds"), "VIOLATED"),
+        (("bound_audits", "hkn", "holds"), "VIOLATED"),
+        (("bound_audits", "volume", "holds"), "VIOLATED"),
+        (("bound_audits", "volume", "equality_iff_flat"), "INCONSISTENT"),
+        (("triangulation", "betke_mcmullen_consistent"), "INCONSISTENT"),
+        (("castelnuovo", "routes_agree"), "ROUTE-MISMATCH"),
+    ],
+)
+def test_analyze_exits_one_on_a_failed_check(tmp_path, capsys, monkeypatch, path, printed):
+    real = cli.build_report
+
+    def broken(*args, **kwargs):
+        report = real(*args, **kwargs)
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        assert node[path[-1]] is True
+        node[path[-1]] = False
+        return report
+
+    monkeypatch.setattr(cli, "build_report", broken)
+    square = write(tmp_path, "sq.txt", "0 0\n2 0\n0 2\n2 2\n")
+    assert main(["analyze", square]) == 1
+    assert printed in capsys.readouterr().out
+    assert main(["analyze", square, "--json"]) == 1
 
 
 def test_report_json_round_trip():
@@ -140,6 +190,10 @@ def test_corpus_json_is_parseable(capsys):
 
 
 def test_corpus_jobs_match_sequential():
-    seq = run_corpus(2, 2, 12, seed=4, jobs=1)
-    par = run_corpus(2, 2, 12, seed=4, jobs=2)
-    assert seq == par
+    # a budget small enough to skip some polytopes shows that each polytope
+    # carries its budget into the worker processes
+    for budget, skipped in ((10**8, False), (20, True)):
+        seq = run_corpus(2, 2, 12, seed=4, budget=budget, jobs=1)
+        par = run_corpus(2, 2, 12, seed=4, budget=budget, jobs=2)
+        assert seq == par
+        assert (seq["total_skipped"] > 0) == skipped

@@ -105,9 +105,9 @@ def test_interior_point_reflexive_simplex():
 
 
 def test_budget_exceeded():
-    p = unit_cube(3)
+    p = build_polytope(list(itertools.product((0, 1), repeat=3)), budget=10)
     with pytest.raises(BudgetExceeded):
-        p.lattice_points(100, budget=10)
+        p.lattice_points(100)
 
 
 def test_python_scan_agrees_with_numpy(monkeypatch):

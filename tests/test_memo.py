@@ -1,0 +1,74 @@
+"""The per-polytope memo: each invariant is computed once, under the scan
+budget the polytope was built with."""
+
+import pytest
+
+import castelpoly.classification as classification
+from castelpoly.classification import idp_check, is_spanning
+from castelpoly.corpus import audit_polytope
+from castelpoly.ehrhart import hstar
+from castelpoly.errors import BudgetExceeded
+from castelpoly.geometry import Polytope, build_polytope
+from castelpoly.registry import family_vertices, nonspanning_dim4_vertices
+from castelpoly.report import build_report
+
+
+def test_report_runs_one_snf(monkeypatch):
+    calls = []
+    real = classification.snf
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(classification, "snf", counting)
+    build_report(build_polytope(nonspanning_dim4_vertices()), name="example-3-5")
+    assert len(calls) == 1
+
+
+# Count scans of the dilates that hstar, degree and the audit's Ehrhart
+# round trip read, and collecting scans of the dilates that the spanning and
+# IDP checks read; no dilate is scanned twice in the same mode, and a
+# collecting scan also serves the counts of its dilate.
+@pytest.mark.parametrize(
+    "vertices, run, scans",
+    [
+        (nonspanning_dim4_vertices(), build_report, 6),
+        (nonspanning_dim4_vertices(), audit_polytope, 9),
+        (family_vertices(1), build_report, 5),
+        (family_vertices(1), audit_polytope, 7),
+        (family_vertices(1), lambda p: (p.lattice_points(3), p.lattice_count(3)), 1),
+    ],
+)
+def test_scans_per_analysis(monkeypatch, vertices, run, scans):
+    calls = []
+    real = Polytope._scan
+
+    def counting(self, k, collect):
+        calls.append((k, collect))
+        return real(self, k, collect)
+
+    monkeypatch.setattr(Polytope, "_scan", counting)
+    run(build_polytope(vertices))
+    assert len(calls) == scans
+    assert len(set(calls)) == len(calls)
+
+
+def test_budget_is_fixed_per_polytope():
+    points = nonspanning_dim4_vertices()
+    roomy = build_polytope(points)
+    hstar(roomy)
+    is_spanning(roomy)
+    tight = build_polytope(points, budget=1)
+    with pytest.raises(BudgetExceeded):
+        hstar(tight)
+    with pytest.raises(BudgetExceeded):
+        is_spanning(tight)
+    with pytest.raises(BudgetExceeded):
+        tight.lattice_count(2)
+
+
+def test_memo_keys_fill_in_defaults():
+    p = build_polytope(family_vertices(1))
+    assert idp_check(p) is idp_check(p, None) is idp_check(p, kmax=None)
+
