@@ -127,7 +127,7 @@ def _add_budget(sub):
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="max bounding-box cells per dilate scan (default %(default)s)",
+        help="max fibers (lines through the box of kP) per dilate scan (default %(default)s)",
     )
 
 
@@ -168,10 +168,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     # checked here, not by argparse: its exit 2 means a counterexample to `idp`
-    for option in ("budget", "kmax"):
+    for option in ("budget", "kmax", "coord_bound"):
         value = getattr(args, option, None)
         if value is not None and value < 1:
-            print(f"error: --{option} must be at least 1, got {value}", file=sys.stderr)
+            flag = "--" + option.replace("_", "-")
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
             return 1
     try:
         return args.func(args)

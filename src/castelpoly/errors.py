@@ -23,12 +23,12 @@ class NotFullDimensional(CastelpolyError):
 
 
 class BudgetExceeded(CastelpolyError):
-    """An enumeration would exceed the configured cell budget."""
+    """A dilate scan would exceed the configured fiber budget."""
 
-    def __init__(self, needed: int, budget: int, what: str = "bounding-box scan"):
+    def __init__(self, needed: int, budget: int, what: str = "dilate scan"):
         self.needed = needed
         self.budget = budget
-        super().__init__(f"{what} needs {needed} cells, budget is {budget}")
+        super().__init__(f"{what} needs {needed} fibers, budget is {budget}")
 
 
 class SubsetCapExceeded(CastelpolyError):

@@ -4,9 +4,22 @@ dilate enumeration, edges, smoothness.
 A polytope is built from integer points only and must be full-dimensional in
 its ambient space. Facets are found by brute force over vertex subsets, which
 is exact and entirely adequate at this scale (<= ~20 vertices, dimension <= 7).
-Dilate scans run on int64 numpy arrays when a precomputed bound shows the
-arithmetic cannot overflow, and fall back to pure Python big ints otherwise,
-so results are exact on every path.
+
+Dilate scans go fiber by fiber. Along the widest axis j of the bounding box
+of kP, each line through an integer point x' of the box of the other
+coordinates meets kP in an integer interval of x_j. Each facet a.x <= k b
+bounds it by an exact floor division of the slack r = k b - a'.x' by a_j, and
+the bounds from r - 1 give the interior. The scan budget counts these fibers.
+
+The arithmetic is int64 numpy when no intermediate can overflow, and Python
+ints otherwise, so results are exact on every path. Let B be the largest
+|k b| + sum over i != j of |a_i| * max |x_i| on the box. It bounds |r| and
+every partial sum of a'.x', so r - 1, the floor quotients and their
+negations stay within B + 1, and an interval length hi - lo + 1 within
+2B + 3. A non-empty interval holds points of kP only, so the lengths summed
+over one chunk of fibers are at most the chunk size times the box width
+along j; the collected x_j lie in the box. Int64 is used when these bounds
+are at most 2^63 - 1.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -34,8 +48,9 @@ LatticePoint = tuple[int, ...]
 DEFAULT_BUDGET = 10**8
 DEFAULT_SUBSET_CAP = 10**6
 
-# int64 dot products are provably safe below this; see _numpy_safe.
-_INT64_SAFE = 2**62
+_INT64_MAX = 2**63 - 1
+# entries of the fibers-by-facets array of one chunk of a dilate scan
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, order=True)
@@ -127,6 +142,41 @@ def _facets_of_points(points, n):
     return sorted(seen.values())
 
 
+def _grid(lo, widths, start, stop, dtype):
+    """Coordinates of the row-major indices start..stop-1 of the box with
+    lower corner ``lo`` and the given widths, one row per index."""
+    idx = np.arange(start, stop).astype(dtype, copy=False)
+    x = np.empty((stop - start, len(widths)), dtype=dtype)
+    for c in range(len(widths) - 1, -1, -1):
+        x[:, c] = idx % widths[c] + lo[c]
+        idx = idx // widths[c]
+    return x
+
+
+def _fiber_intervals(r, runs, div, nneg, npos):
+    """Each fiber's interval of x_j in kP and in its interior.
+
+    ``r`` holds the facet slacks, one row per facet and one column per fiber.
+    ``runs`` gives the (start, end) rows of the facets that share a_j, in
+    increasing a_j: ``nneg`` negative, at most one zero, ``npos`` positive;
+    ``div`` holds |a_j| per run (1 for a_j = 0). Floor division by a
+    positive number is monotone, so a run's bound comes from its smallest
+    slack. Returns the first x_j of each closed interval, and the closed and
+    interior lengths (0 where empty) as the two rows of one array.
+    """
+    q = np.empty((2, len(runs), r.shape[1]), dtype=r.dtype)
+    for i, (start, end) in enumerate(runs):
+        r[start:end].min(axis=0, out=q[0, i])
+    np.subtract(q[0], 1, out=q[1])
+    q //= div
+    first = -q[:, :nneg].min(axis=1)
+    length = np.maximum(q[:, len(runs) - npos :].min(axis=1) - first + 1, 0)
+    if nneg + npos < len(runs):
+        # the run with a_j = 0 needs slack >= 0, and >= 1 for the interior
+        length = np.where(q[:, nneg] >= 0, length, 0)
+    return first[0], length
+
+
 def memo(fn):
     """Memoize ``fn(p, ...)`` in the memo dict of the polytope ``p``, keyed by
     fn's qualified name and its other arguments with defaults filled in."""
@@ -152,7 +202,7 @@ class Polytope:
     """Immutable full-dimensional lattice polytope (vertices + facets).
 
     Use :func:`build_polytope`, which also fixes ``budget``, the cap on the
-    bounding-box cells of one dilate scan; invariants are memoized per polytope.
+    fibers of one dilate scan; invariants are memoized per polytope.
     """
 
     __slots__ = ("dim", "vertices", "facets", "discarded_points", "budget", "_memo")
@@ -206,80 +256,93 @@ class Polytope:
         his = [max(k * v[i] for v in self.vertices) for i in range(self.dim)]
         return los, his
 
-    def _numpy_safe(self, k, los, his):
-        kb_max = max(abs(k * f.offset) for f in self.facets)
-        dot_max = max(
-            sum(abs(a) * max(abs(lo), abs(hi)) for a, lo, hi in zip(f.normal, los, his))
+    def _int64_safe(self, k, axis, los, his, chunk) -> bool:
+        """Whether every intermediate of the fiber scan of kP along ``axis``,
+        in chunks of ``chunk`` fibers, fits in int64 (see the module
+        docstring for the bounds)."""
+        bound = max(
+            abs(k * f.offset)
+            + sum(
+                abs(f.normal[i]) * max(abs(los[i]), abs(his[i]))
+                for i in range(self.dim)
+                if i != axis
+            )
             for f in self.facets
         )
-        return kb_max < _INT64_SAFE and dot_max < _INT64_SAFE
+        reach = max(abs(los[axis]), abs(his[axis]))
+        width = his[axis] - los[axis] + 1
+        return max(2 * bound + 3, reach, chunk * width) <= _INT64_MAX
 
     def _scan(self, k, collect: bool):
-        """One pass over the integer bounding box of kP.
+        """Count, and optionally collect, the lattice points of kP by fibers.
 
-        Returns (closed_count, interior_count, points or None). The interior
-        tallies come for free from the same facet values.
+        Along the widest axis j of kP's bounding box, each line through a
+        point x' of the box of the other coordinates meets kP in an integer
+        interval of x_j. A facet a.x <= k b gives a_j x_j <= r with
+        r = k b - a'.x': x_j <= floor(r / a_j) if a_j > 0,
+        x_j >= -floor(r / -a_j) if a_j < 0, and r >= 0 if a_j = 0. On
+        integers a.x < k b means a.x <= k b - 1, so the same bounds on r - 1
+        give the interior count in the same pass. The arithmetic is int64
+        when :meth:`_int64_safe` allows it and Python ints otherwise. Raises
+        :class:`BudgetExceeded` beyond ``budget`` fibers.
+
+        Returns (closed_count, interior_count, points or None).
         """
         if k < 1:
             raise ValueError("dilation factor must be >= 1")
-        los, his = self._box(k)
-        widths = [hi - lo + 1 for lo, hi in zip(los, his)]
-        total = prod(widths)
-        if total > self.budget:
-            raise BudgetExceeded(total, self.budget)
-        normals = [f.normal for f in self.facets]
-        offsets = [k * f.offset for f in self.facets]
-        if total < _INT64_SAFE and self._numpy_safe(k, los, his):
-            return self._scan_numpy(los, widths, total, normals, offsets, collect)
-        return self._scan_python(los, his, normals, offsets, collect)
-
-    def _scan_numpy(self, los, widths, total, normals, offsets, collect):
-        a = np.array(normals, dtype=np.int64).T  # n x F
-        b = np.array(offsets, dtype=np.int64)
-        lo = np.array(los, dtype=np.int64)
-        w = np.array(widths, dtype=np.int64)
         n = self.dim
+        los, his = self._box(k)
+        axis = max(range(n), key=lambda i: his[i] - los[i])
+        rest = [i for i in range(n) if i != axis]
+        widths = [his[i] - los[i] + 1 for i in rest]
+        fibers = prod(widths)
+        if fibers > self.budget:
+            raise BudgetExceeded(fibers, self.budget)
+        facets = sorted(self.facets, key=lambda f: f.normal[axis])
+        column = [f.normal[axis] for f in facets]
+        values = sorted(set(column))
+        runs = [(bisect_left(column, aj), bisect_right(column, aj)) for aj in values]
+        nneg = bisect_left(values, 0)
+        npos = len(values) - bisect_right(values, 0)
+        chunk = max(1, _CHUNK_ENTRIES // len(facets))
+        dtype = np.int64 if self._int64_safe(k, axis, los, his, chunk) else object
+        a = np.array([[f.normal[i] for i in rest] for f in facets], dtype=dtype)
+        kb = np.array([[k * f.offset] for f in facets], dtype=dtype)
+        div = np.array([[abs(aj) or 1] for aj in values], dtype=dtype)
+        lo = [los[i] for i in rest]
+        # Fibers run in row-major order. The trailing coordinates that fit in
+        # a chunk form a block whose share of the slacks is computed once;
+        # each chunk adds the share of a run of leading coordinates.
+        split = n - 1
+        block = 1
+        while split > 0 and block * widths[split - 1] <= chunk:
+            split -= 1
+            block *= widths[split]
+        inner = _grid(lo[split:], widths[split:], 0, block, dtype)
+        inner_slack = kb - a[:, split:] @ inner.T
+        leading = prod(widths[:split])
+        per_chunk = max(1, chunk // block)
         closed = 0
         interior = 0
-        pts: list[LatticePoint] = []
-        chunk = 1 << 20
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            coords = np.empty((idx.shape[0], n), dtype=np.int64)
-            rem = idx
-            for i in range(n - 1, -1, -1):
-                rem, cur = np.divmod(rem, w[i])
-                coords[:, i] = cur + lo[i]
-            vals = coords @ a
-            closed_mask = np.all(vals <= b, axis=1)
-            closed += int(closed_mask.sum())
-            interior += int(np.all(vals < b, axis=1).sum())
-            if collect and closed_mask.any():
-                pts.extend(tuple(row) for row in coords[closed_mask].tolist())
-        return closed, interior, frozenset(pts) if collect else None
-
-    def _scan_python(self, los, his, normals, offsets, collect):
-        closed = 0
-        interior = 0
-        pts = []
-        ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
-        for x in itertools.product(*ranges):
-            inside = True
-            strict = True
-            for a, b in zip(normals, offsets):
-                v = _dot(a, x)
-                if v > b:
-                    inside = False
-                    strict = False
-                    break
-                if v == b:
-                    strict = False
-            if inside:
-                closed += 1
-                if collect:
-                    pts.append(x)
-            if strict:
-                interior += 1
+        pts: set[LatticePoint] = set()
+        for start in range(0, leading, per_chunk):
+            outer = _grid(lo[:split], widths[:split], start, min(start + per_chunk, leading), dtype)
+            r = inner_slack[:, None, :] - (a[:, :split] @ outer.T)[:, :, None]
+            r = r.reshape(len(facets), -1)
+            first, lengths = _fiber_intervals(r, runs, div, nneg, npos)
+            sums = lengths.sum(axis=1)
+            closed += int(sums[0])
+            interior += int(sums[1])
+            if collect:
+                hit = np.flatnonzero(lengths[0])
+                reps = lengths[0, hit].astype(np.int64)
+                ends = np.cumsum(reps)
+                offsets = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - reps, reps)
+                rows = np.empty((len(offsets), n), dtype=dtype)
+                rows[:, axis] = np.repeat(first[hit], reps) + offsets
+                rows[:, rest[:split]] = np.repeat(outer[hit // block], reps, axis=0)
+                rows[:, rest[split:]] = np.repeat(inner[hit % block], reps, axis=0)
+                pts.update(map(tuple, rows.tolist()))
         return closed, interior, frozenset(pts) if collect else None
 
     @memo
@@ -295,6 +358,9 @@ class Polytope:
         return self._counts(k)[0]
 
     def interior_lattice_count(self, k: int) -> int:
+        """Lattice points in the interior of kP; the interior of 0P is empty."""
+        if k == 0:
+            return 0
         return self._counts(k)[1]
 
     @memo
@@ -364,7 +430,7 @@ def build_polytope(points, budget: int = DEFAULT_BUDGET) -> Polytope:
     Non-vertex input points (convex combinations of the others) are discarded
     but reported on the result; degenerate input is a hard error because every
     downstream invariant assumes full dimension. A dilate scan of the result
-    beyond ``budget`` bounding-box cells raises :class:`BudgetExceeded`.
+    beyond ``budget`` fibers raises :class:`BudgetExceeded`.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     if not pts:

@@ -22,7 +22,7 @@ from castelpoly.classification import (
 from castelpoly.corpus import AUDIT_NAMES, OUTCOMES, audit_polytope, generate_corpus
 from castelpoly.ehrhart import degree, hstar, normalized_volume
 from castelpoly.geometry import build_polytope
-from castelpoly.registry import family_vertices, nonspanning_dim4_vertices
+from castelpoly.registry import family_vertices, nonspanning_dim4_vertices, run_example
 
 # dims 2-4; 250 + 175 + 100 = 525 >= 500 random polytopes
 CORPUS_SPECS = ((2, 3, 250, 101), (3, 2, 175, 202), (4, 2, 100, 303))
@@ -85,6 +85,22 @@ def test_criterion_2_family_reproduction():
         )
     elapsed = time.perf_counter() - start
     _report(2, ok and elapsed < 60.0, f"family a=1,2 exact values in {elapsed:.2f}s (limit 60s)")
+
+
+def test_family_a3_under_default_budget():
+    # dimension 7: the largest dilate the checks scan, k = 7, walks 3,717,120
+    # fibers, within the default budget of 10^8
+    start = time.perf_counter()
+    checks = run_example("family-a", a=3)
+    elapsed = time.perf_counter() - start
+    for _, ok, detail in checks:
+        print(f"{'PASS' if ok else 'FAIL'}  {detail}")
+    details = {label: detail for label, _, detail in checks}
+    assert len(checks) == 8 and all(ok for _, ok, _ in checks)
+    assert details["a=3 h*"] == "a=3 h*: got (1, 1, 1, 1, 2, 0, 0, 0)"
+    assert details["a=3 degree"] == "a=3 degree: got 4"
+    assert details["a=3 idp witness"] == "a=3 idp witness: got (4, (1, 1, 1, 1, 1, 1, 1))"
+    print(f"family a=3 registry checks in {elapsed:.2f}s")
 
 
 def test_criterion_3_route_agreement(corpus):

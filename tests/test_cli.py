@@ -98,6 +98,15 @@ def test_corpus_budget_below_one_is_refused(capsys):
     assert capsys.readouterr().err.startswith("error: --budget")
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_corpus_coord_bound_below_one_is_refused(capsys, value):
+    args = ["corpus", "--dim", "2", "--count", "1", "--seed", "0", "--coord-bound", value]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --coord-bound must be at least 1, got {value}\n"
+
+
 @pytest.mark.parametrize(
     "path, printed",
     [
@@ -192,7 +201,7 @@ def test_corpus_json_is_parseable(capsys):
 def test_corpus_jobs_match_sequential():
     # a budget small enough to skip some polytopes shows that each polytope
     # carries its budget into the worker processes
-    for budget, skipped in ((10**8, False), (20, True)):
+    for budget, skipped in ((10**8, False), (10, True)):
         seq = run_corpus(2, 2, 12, seed=4, budget=budget, jobs=1)
         par = run_corpus(2, 2, 12, seed=4, budget=budget, jobs=2)
         assert seq == par

@@ -1,6 +1,9 @@
 import itertools
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,7 @@ from castelpoly.errors import (
     NotFullDimensional,
 )
 from castelpoly.exact_linalg import IntMatrix, solve
-from castelpoly.geometry import build_polytope
+from castelpoly.geometry import Polytope, build_polytope
 
 from conftest import (
     nonspanning_dim4,
@@ -106,18 +109,89 @@ def test_interior_point_reflexive_simplex():
 
 def test_budget_exceeded():
     p = build_polytope(list(itertools.product((0, 1), repeat=3)), budget=10)
-    with pytest.raises(BudgetExceeded):
+    # the box of 100P has 101^3 cells; the scan walks 101^2 fibers of it
+    with pytest.raises(BudgetExceeded, match="needs 10201 fibers, budget is 10"):
         p.lattice_points(100)
+    assert build_polytope(p.vertices, budget=10201).lattice_count(100) == 101**3
 
 
-def test_python_scan_agrees_with_numpy(monkeypatch):
+def test_interior_count_of_zeroth_dilate():
+    p = standard_simplex(2)
+    assert p.lattice_count(0) == 1
+    assert p.interior_lattice_count(0) == 0
+
+
+def force_python_ints():
+    """Run every dilate scan on Python ints, as beyond the int64 bound."""
+    return mock.patch.object(Polytope, "_int64_safe", lambda self, *args: False)
+
+
+def test_python_scan_agrees_with_numpy():
     p = build_polytope([(0, 0), (3, 1), (1, 4), (-2, -1)])
     fast = {k: p.lattice_points(k) for k in (1, 2, 3)}
     q = build_polytope([(0, 0), (3, 1), (1, 4), (-2, -1)])
-    monkeypatch.setattr(type(q), "_numpy_safe", lambda self, k, los, his: False)
+    with force_python_ints():
+        for k in (1, 2, 3):
+            assert q.lattice_points(k) == fast[k]
+            assert q.interior_lattice_count(k) == p.interior_lattice_count(k)
+
+
+def test_scan_beyond_int64_is_exact():
+    # the shift puts k b and the slacks r far beyond int64, so the scan
+    # runs on Python ints; kP is k times the shift plus k times the triangle
+    tri = [(0, 0), (3, 0), (0, 3)]
+    shift = (2**70, -(2**66))
+    p = build_polytope(tri)
+    q = build_polytope([(x + shift[0], y + shift[1]) for x, y in tri])
+    assert not q._int64_safe(1, 0, *q._box(1), chunk=1)
     for k in (1, 2, 3):
-        assert q.lattice_points(k) == fast[k]
+        moved = {(x + k * shift[0], y + k * shift[1]) for x, y in p.lattice_points(k)}
+        assert q.lattice_points(k) == moved
         assert q.interior_lattice_count(k) == p.interior_lattice_count(k)
+
+
+def box_scan(p, k):
+    """Oracle: test every cell of the integer bounding box of kP against
+    every facet. Returns (closed count, interior count, points)."""
+    los = [min(k * v[i] for v in p.vertices) for i in range(p.dim)]
+    his = [max(k * v[i] for v in p.vertices) for i in range(p.dim)]
+    cells = np.stack(
+        np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in zip(los, his)], indexing="ij"),
+        axis=-1,
+    ).reshape(-1, p.dim)
+    vals = cells @ np.array([f.normal for f in p.facets]).T
+    kb = np.array([k * f.offset for f in p.facets])
+    closed = np.all(vals <= kb, axis=1)
+    interior = np.all(vals < kb, axis=1)
+    points = frozenset(map(tuple, cells[closed].tolist()))
+    return int(closed.sum()), int(interior.sum()), points
+
+
+# coordinate ranges by dimension, small enough that the oracle's boxes stay
+# below 17^4 cells up to k = 2n
+ORACLE_RANGES = {1: (-4, 4), 2: (-2, 3), 3: (-1, 2), 4: (0, 2)}
+oracle_clouds = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(*ORACLE_RANGES[n])] * n),
+        min_size=n + 1,
+        max_size=n + 3,
+    )
+)
+
+
+@pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])
+@settings(max_examples=100, deadline=None)
+@given(cloud=oracle_clouds)
+def test_fiber_scan_matches_box_oracle(python_ints, cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    with force_python_ints() if python_ints else nullcontext():
+        for k in range(1, 2 * p.dim + 1):
+            expected = box_scan(p, k)
+            assert p._scan(k, collect=False) == (*expected[:2], None)
+            assert p._scan(k, collect=True) == expected
 
 
 def test_edges_square_and_simplex(square):
