@@ -365,7 +365,9 @@ class Polytope:
 
     @memo
     def lattice_points(self, k: int) -> frozenset[LatticePoint]:
-        """The integer points of the dilate kP."""
+        """The integer points of the dilate kP; 0P is the origin."""
+        if k == 0:
+            return frozenset([(0,) * self.dim])
         closed, interior, pts = self._scan(k, collect=True)
         # the collecting scan also counted, so later counts of kP need no scan
         self._memo.setdefault(("Polytope._counts", k), (closed, interior))

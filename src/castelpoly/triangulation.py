@@ -5,6 +5,19 @@ lexicographic order: each point refines every cell containing it into cones
 over the cell's facets that miss the point. Pulling every point guarantees
 the final cells are simplices and every lattice point is used as a vertex,
 which is what the unimodularity criterion needs.
+
+A cell is its list of facets a.x <= b, each with the indices of the cell's
+vertices on it; P itself is the first cell. Each cell carries the later
+lattice points, in pull order, that lie in it, and pulls the first of them,
+q. The cone q * G over a facet G with slack s_G = b_G - a_G.q > 0 has the
+facet G and, for every other facet H that meets G in a ridge, the member
+(s_G a_H - s_H a_G).x <= s_G b_H - s_H b_G of the pencil of hyperplanes
+through G & H that passes through q, with vertices (G & H) + {q}. Two facets
+meet in a ridge when no third facet holds all their common vertices; in
+dimension 1 the two end points meet in the empty ridge. So the facets of
+every cell follow from its parent's without a hull search, as in the
+beneath-beyond update of a convex hull. A cell with no point left to pull is
+a simplex of the triangulation, whose vertices are those of its facets.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from math import comb
 from .ehrhart import hstar, normalized_volume
 from .errors import InvariantViolation
 from .exact_linalg import det
-from .geometry import LatticePoint, Polytope, _dot, _facets_of_points, memo
+from .geometry import LatticePoint, Polytope, _dot, _primitive, memo
 
 
 @dataclass(frozen=True)
@@ -54,33 +67,42 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     points = tuple(sorted(p.lattice_points(1)))
     index = {pt: i for i, pt in enumerate(points)}
 
-    facet_cache: dict[tuple[int, ...], list] = {}
-
-    def cell_facets(cell):
-        """Facets of a cell, each as (normal, offset, vertex index tuple)."""
-        got = facet_cache.get(cell)
-        if got is None:
-            coords = [points[i] for i in cell]
-            got = []
-            for f in _facets_of_points(coords, n):
-                on = tuple(i for i in cell if f.value(points[i]) == f.offset)
-                got.append((f.normal, f.offset, on))
-            facet_cache[cell] = got
-        return got
-
-    cells = [tuple(index[v] for v in p.vertices)]
-    for pid, pt in enumerate(points):
-        new_cells = []
-        for cell in cells:
-            facets = cell_facets(cell)
-            if any(_dot(a, pt) > b for a, b, _ in facets):
-                new_cells.append(cell)
+    # a cell's facets: (normal, offset, indices of the cell's vertices on it)
+    root = [
+        (f.normal, f.offset, frozenset(index[v] for v in p.vertices if f.value(v) == f.offset))
+        for f in p.facets
+    ]
+    stack = [(root, range(len(points)))]
+    cells = []
+    while stack:
+        facets, held = stack.pop()
+        if not held:
+            cells.append(tuple(sorted(frozenset().union(*(on for _, _, on in facets)))))
+            continue
+        q = points[held[0]]
+        later = held[1:]
+        slack = [b - _dot(a, q) for a, b, _ in facets]
+        for g, (a_g, b_g, on_g) in enumerate(facets):
+            if slack[g] == 0:
                 continue
-            for a, b, on in facets:
-                if _dot(a, pt) == b:
+            cone = [(a_g, b_g, on_g)]
+            for h, (a_h, b_h, on_h) in enumerate(facets):
+                ridge = on_g & on_h
+                # no third facet holds a ridge; in dimension 1 it is empty
+                if h == g or any(
+                    ridge <= on for i, (_, _, on) in enumerate(facets) if i not in (g, h)
+                ):
                     continue
-                new_cells.append(tuple(sorted(on + (pid,))))
-        cells = new_cells
+                # the hyperplane of the pencil through G & H that passes through q
+                normal, d = _primitive(
+                    tuple(slack[g] * x - slack[h] * y for x, y in zip(a_h, a_g))
+                )
+                offset = (slack[g] * b_h - slack[h] * b_g) // d
+                cone.append((normal, offset, ridge | {held[0]}))
+            inside = [
+                i for i in later if all(_dot(a, points[i]) <= b for a, b, _ in cone)
+            ]
+            stack.append((cone, inside))
 
     if any(len(c) != n + 1 for c in cells):
         raise InvariantViolation("pulling left a non-simplex cell")

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from castelpoly.geometry import build_polytope
 from castelpoly.registry import (
@@ -43,6 +44,19 @@ def nonspanning_dim4():
 def spanning_non_idp_family(a):
     """Spanning polytopes in dimension 2a+1 that are not IDP."""
     return build_polytope(family_vertices(a))
+
+
+# point clouds of dimension 1-4 for the differential tests against the
+# oracles, in coordinate ranges small enough that the box oracle of the dilate
+# scan stays below 17^4 cells up to k = 2n
+ORACLE_RANGES = {1: (-4, 4), 2: (-2, 3), 3: (-1, 2), 4: (0, 2)}
+oracle_clouds = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(*ORACLE_RANGES[n])] * n),
+        min_size=n + 1,
+        max_size=n + 3,
+    )
+)
 
 
 @pytest.fixture

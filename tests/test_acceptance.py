@@ -5,12 +5,15 @@ lines; the whole battery (including the 525-polytope corpus) completes in
 well under two minutes on a laptop-class machine.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import castelpoly
 from castelpoly.classification import (
     STATUS_COUNTEREXAMPLE,
     idp_check,
@@ -178,8 +181,12 @@ def test_criterion_9_corpus_determinism():
         "17",
         "--json",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the child imports the package the suite imports, installed or not
+    src = str(Path(castelpoly.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     ok = first.stdout == second.stdout and len(first.stdout) > 0
     _report(9, ok, "two corpus runs with one seed are byte-identical")
 

@@ -98,13 +98,14 @@ def test_corpus_budget_below_one_is_refused(capsys):
     assert capsys.readouterr().err.startswith("error: --budget")
 
 
+@pytest.mark.parametrize("option", ["--coord-bound", "--count"])
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_corpus_coord_bound_below_one_is_refused(capsys, value):
-    args = ["corpus", "--dim", "2", "--count", "1", "--seed", "0", "--coord-bound", value]
+def test_corpus_option_below_one_is_refused(capsys, option, value):
+    args = ["corpus", "--dim", "2", "--count", "1", "--seed", "0", option, value]
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --coord-bound must be at least 1, got {value}\n"
+    assert captured.err == f"error: {option} must be at least 1, got {value}\n"
 
 
 @pytest.mark.parametrize(

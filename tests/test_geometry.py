@@ -19,6 +19,7 @@ from castelpoly.geometry import Polytope, build_polytope
 
 from conftest import (
     nonspanning_dim4,
+    oracle_clouds,
     reflexive_simplex_3,
     spanning_non_idp_family,
     standard_simplex,
@@ -119,6 +120,11 @@ def test_interior_count_of_zeroth_dilate():
     p = standard_simplex(2)
     assert p.lattice_count(0) == 1
     assert p.interior_lattice_count(0) == 0
+    assert p.lattice_points(0) == frozenset([(0, 0)])
+    assert p.interior_lattice_points(0) == frozenset()
+    for method in (p.lattice_count, p.lattice_points, p.interior_lattice_count):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            method(-1)
 
 
 def force_python_ints():
@@ -165,18 +171,6 @@ def box_scan(p, k):
     interior = np.all(vals < kb, axis=1)
     points = frozenset(map(tuple, cells[closed].tolist()))
     return int(closed.sum()), int(interior.sum()), points
-
-
-# coordinate ranges by dimension, small enough that the oracle's boxes stay
-# below 17^4 cells up to k = 2n
-ORACLE_RANGES = {1: (-4, 4), 2: (-2, 3), 3: (-1, 2), 4: (0, 2)}
-oracle_clouds = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.tuples(*[st.integers(*ORACLE_RANGES[n])] * n),
-        min_size=n + 1,
-        max_size=n + 3,
-    )
-)
 
 
 @pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
 
 from castelpoly.ehrhart import hstar, normalized_volume
-from castelpoly.geometry import build_polytope
+from castelpoly.errors import NotFullDimensional
+from castelpoly.geometry import _facets_of_points, build_polytope
 from castelpoly.triangulation import (
     betke_mcmullen_check,
     h_vector,
@@ -11,6 +13,7 @@ from castelpoly.triangulation import (
 
 from conftest import (
     nonspanning_dim4,
+    oracle_clouds,
     reflexive_simplex_3,
     spanning_non_idp_family,
     square_2x2,
@@ -134,3 +137,55 @@ def test_flat_interior_hstar_gives_unimodular_triangulation():
         assert p.interior_lattice_count(1) > 0
         assert all(h[1] == h[j] for j in range(2, p.dim))
         assert is_unimodular(pulling_triangulation(p))
+
+
+def pulling_oracle(p):
+    """Oracle: pull the lattice points one at a time in lexicographic order.
+    Each point is tested against every cell, and each cell's facets are
+    recomputed from its vertices by brute force. Returns (points, maximal
+    simplices), the simplices as sorted tuples of indices into points."""
+    n = p.dim
+    points = tuple(sorted(p.lattice_points(1)))
+    index = {pt: i for i, pt in enumerate(points)}
+    cells = [tuple(index[v] for v in p.vertices)]
+    for pid, pt in enumerate(points):
+        new_cells = []
+        for cell in cells:
+            facets = _facets_of_points([points[i] for i in cell], n)
+            if any(f.value(pt) > f.offset for f in facets):
+                new_cells.append(cell)
+                continue
+            for f in facets:
+                if f.value(pt) < f.offset:
+                    on = tuple(i for i in cell if f.value(points[i]) == f.offset)
+                    new_cells.append(tuple(sorted(on + (pid,))))
+        cells = new_cells
+    return points, tuple(sorted(cells))
+
+
+def cross_polytope(n):
+    return build_polytope(
+        [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    )
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: unit_cube(4), lambda: cross_polytope(4), lambda: build_polytope([(0,), (3,)])],
+    ids=["4-cube", "4-cross-polytope", "segment"],
+)
+def test_pulling_matches_oracle_on_non_simplex_cells(maker):
+    p = maker()
+    t = pulling_triangulation(p)
+    assert (t.points, t.maximal_simplices) == pulling_oracle(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cloud=oracle_clouds)
+def test_pulling_matches_oracle(cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    t = pulling_triangulation(p)
+    assert (t.points, t.maximal_simplices) == pulling_oracle(p)
