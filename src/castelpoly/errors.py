@@ -13,6 +13,10 @@ class DimensionMismatch(CastelpolyError):
     """A vector's length does not match the ambient dimension."""
 
 
+class NonIntegerCoordinate(CastelpolyError):
+    """A coordinate of an input point is not an integer."""
+
+
 class NotFullDimensional(CastelpolyError):
     """The affine hull of the input points is a proper subspace.
 
@@ -29,10 +33,6 @@ class BudgetExceeded(CastelpolyError):
         self.needed = needed
         self.budget = budget
         super().__init__(f"{what} needs {needed} fibers, budget is {budget}")
-
-
-class SubsetCapExceeded(CastelpolyError):
-    """Facet enumeration would examine too many vertex subsets."""
 
 
 class InvariantViolation(CastelpolyError):

@@ -2,14 +2,20 @@
 dilate enumeration, edges, smoothness.
 
 A polytope is built from integer points only and must be full-dimensional in
-its ambient space. Facets are found by brute force over vertex subsets, which
-is exact and entirely adequate at this scale (<= ~20 vertices, dimension <= 7).
+its ambient space. Its facets come from an integer beneath-beyond hull: a
+greedy starting simplex, then one point at a time, with each facet carrying
+the input points on it. The same point sets tell the vertices apart: a point
+is a vertex when the facets through it meet in it alone. The ridge-and-pencil
+step that adds the facets through a new point is shared with the pulling
+triangulation, which refines cells the same way.
 
 Dilate scans go fiber by fiber. Along the widest axis j of the bounding box
 of kP, each line through an integer point x' of the box of the other
 coordinates meets kP in an integer interval of x_j. Each facet a.x <= k b
 bounds it by an exact floor division of the slack r = k b - a'.x' by a_j, and
 the bounds from r - 1 give the interior. The scan budget counts these fibers.
+The box of kP is k times the box of P, so the axis and everything else that
+does not depend on k is worked out once per polytope.
 
 The arithmetic is int64 numpy when no intermediate can overflow, and Python
 ints otherwise, so results are exact on every path. Let B be the largest
@@ -27,10 +33,12 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import gcd, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +46,14 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     EmptyInput,
+    NonIntegerCoordinate,
     NotFullDimensional,
-    SubsetCapExceeded,
 )
 from .exact_linalg import IntMatrix, det, rank
 
 LatticePoint = tuple[int, ...]
 
 DEFAULT_BUDGET = 10**8
-DEFAULT_SUBSET_CAP = 10**6
 
 _INT64_MAX = 2**63 - 1
 # entries of the fibers-by-facets array of one chunk of a dilate scan
@@ -75,15 +82,6 @@ def _primitive(vec):
     return tuple(x // g for x in vec), g
 
 
-def _affine_rank(points) -> int:
-    """Dimension of the affine hull of the given points."""
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    diffs = [tuple(x - b for x, b in zip(p, base)) for p in points[1:]]
-    return rank(IntMatrix.from_rows(diffs))
-
-
 def _cross(diffs, n):
     """Integer normal to the hyperplane spanned by n-1 difference vectors.
 
@@ -99,47 +97,93 @@ def _cross(diffs, n):
     return tuple(normal)
 
 
-def _facets_of_points(points, n):
-    """All facets of conv(points), assuming the points affinely span R^n.
-
-    Tries every n-subset spanning a hyperplane and keeps the inequality when
-    all points lie weakly on one side. Any supporting hyperplane whose contact
-    set contains n affinely independent points is a facet hyperplane, so this
-    enumeration is complete and irredundant after deduplication.
-    """
-    m = len(points)
-    if comb(m, n) > DEFAULT_SUBSET_CAP:
-        raise SubsetCapExceeded(
-            f"facet enumeration over C({m},{n}) vertex subsets exceeds the cap {DEFAULT_SUBSET_CAP}"
-        )
-    seen = {}
-    for subset in itertools.combinations(range(m), n):
-        base = points[subset[0]]
-        diffs = [
-            tuple(x - b for x, b in zip(points[i], base)) for i in subset[1:]
-        ]
-        normal = _cross(diffs, n)
-        if all(x == 0 for x in normal):
-            continue
-        offset = _dot(normal, base)
-        below = above = False
-        for p in points:
-            v = _dot(normal, p)
-            if v > offset:
-                above = True
-            elif v < offset:
-                below = True
-            if above and below:
+def _starting_simplex(points):
+    """Indices of affinely independent points, taken greedily in order, as
+    many as the affine dimension of the points plus one."""
+    base = points[0]
+    chosen = [0]
+    rows = []
+    for i in range(1, len(points)):
+        row = tuple(x - b for x, b in zip(points[i], base))
+        if rank(IntMatrix.from_rows(rows + [row])) > len(rows):
+            rows.append(row)
+            chosen.append(i)
+            if len(rows) == len(base):
                 break
-        if above and below:
+    return chosen
+
+
+def _ridge_pencils(facets, slack, g, others, apex):
+    """The hyperplanes through q and the ridges that the facet g shares with
+    the facets in ``others``.
+
+    ``facets`` holds (normal a, offset b, set of point indices on it), and
+    ``slack`` the slacks s = b - a.q of a point q, with s_g > 0. G and H meet
+    in a ridge when no third facet holds all their common points; in
+    dimension 1 the two end points meet in the empty ridge. For each such H,
+    yields the member (s_g a_h - s_h a_g).x <= s_g b_h - s_h b_g of the
+    pencil of hyperplanes through G & H that passes through q, made
+    primitive, with G on its inner side and the point set (G & H) + {apex},
+    where ``apex`` is the index of q.
+    """
+    a_g, b_g, on_g = facets[g]
+    # a ridge spans n - 2 dimensions, so it holds at least n - 1 points
+    least = len(a_g) - 1
+    for h in others:
+        a_h, b_h, on_h = facets[h]
+        ridge = on_g & on_h
+        if h == g or len(ridge) < least or any(
+            ridge <= on for i, (_, _, on) in enumerate(facets) if i != g and i != h
+        ):
             continue
-        if above:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        normal, g = _primitive(normal)
-        offset //= g  # offset = normal . base, so g divides it
-        seen[(normal, offset)] = Facet(normal, offset)
-    return sorted(seen.values())
+        normal, d = _primitive(
+            tuple(slack[g] * x - slack[h] * y for x, y in zip(a_h, a_g))
+        )
+        # q lies on the hyperplane, so d divides the offset
+        yield normal, (slack[g] * b_h - slack[h] * b_g) // d, ridge | {apex}
+
+
+def _beneath_beyond(points, simplex):
+    """Facets of conv(points) as (primitive normal, offset, indices of the
+    points on it), by the beneath-beyond method (Joswig, "Beneath-and-Beyond
+    Revisited", 2003) in integer arithmetic.
+
+    The hull starts as the full-dimensional ``simplex``; the other points
+    are added in order. With slacks s = b - a.q, the facets with s < 0 see q
+    and are dropped, the facets with s = 0 gain q, and every ridge between a
+    dropped facet G and a kept facet H with s_H > 0 spans a new facet with q
+    (see :func:`_ridge_pencils`). On points of the old hull that facet is a
+    positive combination of G and H, so the old points on it are exactly
+    those on G & H, and every point set stays complete.
+    """
+    n = len(points[0])
+    facets = []
+    for i in simplex:
+        others = [j for j in simplex if j != i]
+        base = points[others[0]]
+        diffs = [tuple(x - b for x, b in zip(points[j], base)) for j in others[1:]]
+        normal, _ = _primitive(_cross(diffs, n))
+        offset = _dot(normal, base)
+        if _dot(normal, points[i]) > offset:
+            normal, offset = tuple(-x for x in normal), -offset
+        facets.append((normal, offset, frozenset(others)))
+    start = set(simplex)
+    for iq, q in enumerate(points):
+        if iq in start:
+            continue
+        slack = [b - _dot(a, q) for a, b, _ in facets]
+        visible = [g for g, s in enumerate(slack) if s < 0]
+        kept = [
+            (a, b, on | {iq}) if s == 0 else (a, b, on)
+            for (a, b, on), s in zip(facets, slack)
+            if s >= 0
+        ]
+        if visible:
+            for h, s in enumerate(slack):
+                if s > 0:
+                    kept.extend(_ridge_pencils(facets, slack, h, visible, iq))
+        facets = kept
+    return facets
 
 
 def _grid(lo, widths, start, stop, dtype):
@@ -175,6 +219,28 @@ def _fiber_intervals(r, runs, div, nneg, npos):
         # the run with a_j = 0 needs slack >= 0, and >= 1 for the interior
         length = np.where(q[:, nneg] >= 0, length, 0)
     return first[0], length
+
+
+class _ScanPlan(NamedTuple):
+    """What :meth:`Polytope._scan` needs of P for every dilate: the corners
+    of P's bounding box, its widest axis j and the other axes; the facets
+    sorted by a_j, as the row runs of equal a_j with ``nneg`` negative and
+    ``npos`` positive values; the fibers per chunk; the facet normals without
+    a_j, the offsets and |a_j| per run (1 for a_j = 0), as Python ints; and
+    P's share of the bound B of :meth:`Polytope._int64_safe`."""
+
+    los: list[int]
+    his: list[int]
+    axis: int
+    rest: list[int]
+    runs: list[tuple[int, int]]
+    nneg: int
+    npos: int
+    chunk: int
+    normals: np.ndarray
+    offsets: np.ndarray
+    div: np.ndarray
+    bound: int
 
 
 def memo(fn):
@@ -251,27 +317,49 @@ class Polytope:
 
     # -- dilate scans --------------------------------------------------------
 
-    def _box(self, k):
-        los = [min(k * v[i] for v in self.vertices) for i in range(self.dim)]
-        his = [max(k * v[i] for v in self.vertices) for i in range(self.dim)]
-        return los, his
+    @memo
+    def _scan_plan(self) -> _ScanPlan:
+        """The part of every dilate scan that does not depend on k.
 
-    def _int64_safe(self, k, axis, los, his, chunk) -> bool:
-        """Whether every intermediate of the fiber scan of kP along ``axis``,
-        in chunks of ``chunk`` fibers, fits in int64 (see the module
-        docstring for the bounds)."""
-        bound = max(
-            abs(k * f.offset)
-            + sum(
-                abs(f.normal[i]) * max(abs(los[i]), abs(his[i]))
-                for i in range(self.dim)
-                if i != axis
-            )
-            for f in self.facets
+        kP's box is k times P's box, so its widest axis, and with it the
+        facet runs and the normals, are the same for every k; each int64
+        bound of :meth:`_int64_safe` is affine in k.
+        """
+        los = [min(v[i] for v in self.vertices) for i in range(self.dim)]
+        his = [max(v[i] for v in self.vertices) for i in range(self.dim)]
+        axis = max(range(self.dim), key=lambda i: his[i] - los[i])
+        rest = [i for i in range(self.dim) if i != axis]
+        facets = sorted(self.facets, key=lambda f: f.normal[axis])
+        column = [f.normal[axis] for f in facets]
+        values = sorted(set(column))
+        return _ScanPlan(
+            los=los,
+            his=his,
+            axis=axis,
+            rest=rest,
+            runs=[(bisect_left(column, aj), bisect_right(column, aj)) for aj in values],
+            nneg=bisect_left(values, 0),
+            npos=len(values) - bisect_right(values, 0),
+            chunk=max(1, _CHUNK_ENTRIES // len(facets)),
+            normals=np.array([[f.normal[i] for i in rest] for f in facets], dtype=object),
+            offsets=np.array([[f.offset] for f in facets], dtype=object),
+            div=np.array([[abs(aj) or 1] for aj in values], dtype=object),
+            bound=max(
+                abs(f.offset)
+                + sum(abs(f.normal[i]) * max(abs(los[i]), abs(his[i])) for i in rest)
+                for f in facets
+            ),
         )
-        reach = max(abs(los[axis]), abs(his[axis]))
-        width = his[axis] - los[axis] + 1
-        return max(2 * bound + 3, reach, chunk * width) <= _INT64_MAX
+
+    def _int64_safe(self, k) -> bool:
+        """Whether every intermediate of the fiber scan of kP fits in int64
+        (see the module docstring for the bounds); B is k times the plan's
+        ``bound``."""
+        plan = self._scan_plan()
+        lo, hi = plan.los[plan.axis], plan.his[plan.axis]
+        reach = k * max(abs(lo), abs(hi))
+        width = k * (hi - lo) + 1
+        return max(2 * k * plan.bound + 3, reach, plan.chunk * width) <= _INT64_MAX
 
     def _scan(self, k, collect: bool):
         """Count, and optionally collect, the lattice points of kP by fibers.
@@ -291,25 +379,17 @@ class Polytope:
         if k < 1:
             raise ValueError("dilation factor must be >= 1")
         n = self.dim
-        los, his = self._box(k)
-        axis = max(range(n), key=lambda i: his[i] - los[i])
-        rest = [i for i in range(n) if i != axis]
-        widths = [his[i] - los[i] + 1 for i in rest]
+        plan = self._scan_plan()
+        axis, rest, chunk = plan.axis, plan.rest, plan.chunk
+        lo = [k * plan.los[i] for i in rest]
+        widths = [k * (plan.his[i] - plan.los[i]) + 1 for i in rest]
         fibers = prod(widths)
         if fibers > self.budget:
             raise BudgetExceeded(fibers, self.budget)
-        facets = sorted(self.facets, key=lambda f: f.normal[axis])
-        column = [f.normal[axis] for f in facets]
-        values = sorted(set(column))
-        runs = [(bisect_left(column, aj), bisect_right(column, aj)) for aj in values]
-        nneg = bisect_left(values, 0)
-        npos = len(values) - bisect_right(values, 0)
-        chunk = max(1, _CHUNK_ENTRIES // len(facets))
-        dtype = np.int64 if self._int64_safe(k, axis, los, his, chunk) else object
-        a = np.array([[f.normal[i] for i in rest] for f in facets], dtype=dtype)
-        kb = np.array([[k * f.offset] for f in facets], dtype=dtype)
-        div = np.array([[abs(aj) or 1] for aj in values], dtype=dtype)
-        lo = [los[i] for i in rest]
+        dtype = np.int64 if self._int64_safe(k) else object
+        a = plan.normals.astype(dtype, copy=False)
+        kb = (k * plan.offsets).astype(dtype, copy=False)
+        div = plan.div.astype(dtype, copy=False)
         # Fibers run in row-major order. The trailing coordinates that fit in
         # a chunk form a block whose share of the slacks is computed once;
         # each chunk adds the share of a run of leading coordinates.
@@ -328,8 +408,8 @@ class Polytope:
         for start in range(0, leading, per_chunk):
             outer = _grid(lo[:split], widths[:split], start, min(start + per_chunk, leading), dtype)
             r = inner_slack[:, None, :] - (a[:, :split] @ outer.T)[:, :, None]
-            r = r.reshape(len(facets), -1)
-            first, lengths = _fiber_intervals(r, runs, div, nneg, npos)
+            r = r.reshape(len(a), -1)
+            first, lengths = _fiber_intervals(r, plan.runs, div, plan.nneg, plan.npos)
             sums = lengths.sum(axis=1)
             closed += int(sums[0])
             interior += int(sums[1])
@@ -426,15 +506,27 @@ class Polytope:
         return True
 
 
-def build_polytope(points, budget: int = DEFAULT_BUDGET) -> Polytope:
-    """Validate points, enumerate facets, and classify vertices.
+def _coordinate(c) -> int:
+    """An integer coordinate as a Python int; anything else is refused."""
+    if not isinstance(c, bool):
+        try:
+            return operator.index(c)
+        except TypeError:
+            pass
+    raise NonIntegerCoordinate(f"coordinate {c!r} is not an integer")
 
-    Non-vertex input points (convex combinations of the others) are discarded
-    but reported on the result; degenerate input is a hard error because every
-    downstream invariant assumes full dimension. A dilate scan of the result
-    beyond ``budget`` fibers raises :class:`BudgetExceeded`.
+
+def build_polytope(points, budget: int = DEFAULT_BUDGET) -> Polytope:
+    """Validate points, compute the facets, and classify vertices.
+
+    Coordinates must be integers (``int`` or anything ``operator.index``
+    accepts, but not ``bool``). Non-vertex input points (convex combinations
+    of the others) are discarded but reported on the result; degenerate
+    input is a hard error because every downstream invariant assumes full
+    dimension. A dilate scan of the result beyond ``budget`` fibers raises
+    :class:`BudgetExceeded`.
     """
-    pts = [tuple(int(c) for c in p) for p in points]
+    pts = [tuple(_coordinate(c) for c in p) for p in points]
     if not pts:
         raise EmptyInput("no points given")
     n = len(pts[0])
@@ -443,19 +535,24 @@ def build_polytope(points, budget: int = DEFAULT_BUDGET) -> Polytope:
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("all points must share one length")
     unique = sorted(set(pts))
-    if _affine_rank(unique) < n:
+    simplex = _starting_simplex(unique)
+    if len(simplex) <= n:
         raise NotFullDimensional(
-            f"affine hull has dimension {_affine_rank(unique)} < ambient {n}"
+            f"affine hull has dimension {len(simplex) - 1} < ambient {n}"
         )
-    facets = _facets_of_points(unique, n)
+    facets = _beneath_beyond(unique, simplex)
+    # a point is a vertex iff the facets through it meet in it alone
+    through = [[] for _ in unique]
+    for _, _, on in facets:
+        for i in on:
+            through[i].append(on)
     vertices = []
     discarded = []
-    for p in unique:
-        active = [f.normal for f in facets if f.value(p) == f.offset]
-        if len(active) >= n and rank(IntMatrix.from_rows(active)) == n:
+    for p, sets in zip(unique, through):
+        if sets and len(frozenset.intersection(*sets)) == 1:
             vertices.append(p)
         else:
             discarded.append(p)
-    p = Polytope(n, vertices, facets, discarded)
+    p = Polytope(n, vertices, [Facet(a, b) for a, b, _ in facets], discarded)
     p.budget = budget
     return p

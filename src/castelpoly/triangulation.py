@@ -15,9 +15,12 @@ facet G and, for every other facet H that meets G in a ridge, the member
 through G & H that passes through q, with vertices (G & H) + {q}. Two facets
 meet in a ridge when no third facet holds all their common vertices; in
 dimension 1 the two end points meet in the empty ridge. So the facets of
-every cell follow from its parent's without a hull search, as in the
-beneath-beyond update of a convex hull. A cell with no point left to pull is
-a simplex of the triangulation, whose vertices are those of its facets.
+every cell follow from its parent's without a hull search, by the same step
+(:func:`geometry._ridge_pencils`) as the beneath-beyond hull of P. A cell
+with n + 1 facets is a simplex, and pulling one of its own vertices would
+rebuild it, so it holds no point that is one of its vertices. A cell with no
+point left to pull is a simplex of the triangulation, whose vertices are
+those of its facets.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from math import comb
 from .ehrhart import hstar, normalized_volume
 from .errors import InvariantViolation
 from .exact_linalg import det
-from .geometry import LatticePoint, Polytope, _dot, _primitive, memo
+from .geometry import LatticePoint, Polytope, _dot, _ridge_pencils, memo
 
 
 @dataclass(frozen=True)
@@ -76,29 +79,20 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     cells = []
     while stack:
         facets, held = stack.pop()
+        corners = frozenset().union(*(on for _, _, on in facets))
+        if len(facets) == n + 1:
+            # a simplex: pulling one of its own vertices rebuilds it
+            held = [i for i in held if i not in corners]
         if not held:
-            cells.append(tuple(sorted(frozenset().union(*(on for _, _, on in facets)))))
+            cells.append(tuple(sorted(corners)))
             continue
         q = points[held[0]]
         later = held[1:]
         slack = [b - _dot(a, q) for a, b, _ in facets]
-        for g, (a_g, b_g, on_g) in enumerate(facets):
-            if slack[g] == 0:
+        for g, s in enumerate(slack):
+            if s == 0:
                 continue
-            cone = [(a_g, b_g, on_g)]
-            for h, (a_h, b_h, on_h) in enumerate(facets):
-                ridge = on_g & on_h
-                # no third facet holds a ridge; in dimension 1 it is empty
-                if h == g or any(
-                    ridge <= on for i, (_, _, on) in enumerate(facets) if i not in (g, h)
-                ):
-                    continue
-                # the hyperplane of the pencil through G & H that passes through q
-                normal, d = _primitive(
-                    tuple(slack[g] * x - slack[h] * y for x, y in zip(a_h, a_g))
-                )
-                offset = (slack[g] * b_h - slack[h] * b_g) // d
-                cone.append((normal, offset, ridge | {held[0]}))
+            cone = [facets[g], *_ridge_pencils(facets, slack, g, range(len(facets)), held[0])]
             inside = [
                 i for i in later if all(_dot(a, points[i]) <= b for a, b, _ in cone)
             ]

@@ -1,11 +1,13 @@
 """Shared polytope builders for the test suite, on the registry's vertex data."""
 
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import strategies as st
 
-from castelpoly.geometry import build_polytope
+from castelpoly.exact_linalg import IntMatrix, rank
+from castelpoly.geometry import Facet, _cross, _dot, _primitive, build_polytope
 from castelpoly.registry import (
     family_vertices,
     nonspanning_dim4_vertices,
@@ -57,6 +59,74 @@ oracle_clouds = st.integers(1, 4).flatmap(
         max_size=n + 3,
     )
 )
+
+
+def brute_force_facets(points, n):
+    """Oracle: all facets of conv(points), assuming the points affinely span
+    R^n. Tries every n-subset spanning a hyperplane and keeps the inequality
+    when all points lie weakly on one side; any supporting hyperplane through
+    n affinely independent points is a facet hyperplane."""
+    seen = set()
+    for subset in itertools.combinations(points, n):
+        base = subset[0]
+        normal = _cross([tuple(x - b for x, b in zip(q, base)) for q in subset[1:]], n)
+        if not any(normal):
+            continue
+        offset = _dot(normal, base)
+        values = [_dot(normal, q) for q in points]
+        if max(values) > offset and min(values) < offset:
+            continue
+        if max(values) > offset:
+            normal, offset = tuple(-x for x in normal), -offset
+        normal, g = _primitive(normal)
+        seen.add(Facet(normal, offset // g))
+    return sorted(seen)
+
+
+def affine_dimension(points):
+    """Dimension of the affine hull of the points, by one exact rank."""
+    diffs = [tuple(x - b for x, b in zip(q, points[0])) for q in points[1:]]
+    return rank(IntMatrix.from_rows(diffs)) if diffs else 0
+
+
+def brute_force_hull(points):
+    """Oracle for build_polytope: (facets, vertices, discarded points) of the
+    distinct full-dimensional points. A point is a vertex when the normals of
+    the facets through it have rank n."""
+    unique = sorted(set(map(tuple, points)))
+    n = len(unique[0])
+    facets = brute_force_facets(unique, n)
+    vertices, discarded = [], []
+    for q in unique:
+        active = [f.normal for f in facets if f.value(q) == f.offset]
+        vertex = len(active) >= n and rank(IntMatrix.from_rows(active)) == n
+        (vertices if vertex else discarded).append(q)
+    return tuple(facets), tuple(vertices), tuple(discarded)
+
+
+def _lattice_segment(a, b):
+    """The lattice points strictly between a and b."""
+    g = 0
+    for x, y in zip(a, b):
+        g = gcd(g, y - x)
+    return [tuple(x + (y - x) * j // g for x, y in zip(a, b)) for j in range(1, g)]
+
+
+@st.composite
+def hull_clouds(draw):
+    """Point clouds of dimension 1-4 in the oracle ranges, in shuffled order,
+    with duplicates, with coordinates biased to the ends of the range so that
+    many points share a boundary hyperplane, and with the lattice points on
+    a few segments between drawn points, which are collinear."""
+    n = draw(st.integers(1, 4))
+    lo, hi = ORACLE_RANGES[n]
+    coord = st.one_of(st.sampled_from((lo, hi)), st.integers(lo, hi))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 6))
+    ends = st.sampled_from(pts)
+    for a, b in draw(st.lists(st.tuples(ends, ends), max_size=3)):
+        pts += _lattice_segment(a, b)
+    pts += draw(st.lists(ends, max_size=3))
+    return draw(st.permutations(pts))
 
 
 @pytest.fixture

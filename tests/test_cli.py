@@ -82,6 +82,16 @@ def test_analyze_malformed_exits_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "idp"])
+def test_non_integer_coordinates_exit_one(capsys, monkeypatch, command):
+    # the file readers refuse them too; build_polytope refuses them for any caller
+    monkeypatch.setattr(cli, "read_polytope_file", lambda path: ("tri", [(0, 0), (1.5, 0), (0, 1)]))
+    assert main([command, "tri.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NonIntegerCoordinate: coordinate 1.5 is not an integer\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "idp"])
 @pytest.mark.parametrize("option", ["--budget", "--kmax"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_option_below_one_is_refused(tmp_path, capsys, command, option, value):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
@@ -12,12 +13,16 @@ from castelpoly.errors import (
     BudgetExceeded,
     DimensionMismatch,
     EmptyInput,
+    NonIntegerCoordinate,
     NotFullDimensional,
 )
 from castelpoly.exact_linalg import IntMatrix, solve
 from castelpoly.geometry import Polytope, build_polytope
 
 from conftest import (
+    affine_dimension,
+    brute_force_hull,
+    hull_clouds,
     nonspanning_dim4,
     oracle_clouds,
     reflexive_simplex_3,
@@ -53,12 +58,62 @@ def test_build_discards_midpoint():
 def test_build_errors():
     with pytest.raises(EmptyInput):
         build_polytope([])
-    with pytest.raises(NotFullDimensional):
+    with pytest.raises(NotFullDimensional, match="dimension 1 < ambient 2"):
         build_polytope([(0, 0), (1, 1), (2, 2)])
-    with pytest.raises(NotFullDimensional):
+    with pytest.raises(NotFullDimensional, match="dimension 0 < ambient 2"):
         build_polytope([(3, 3), (3, 3)])
+    with pytest.raises(NotFullDimensional, match="dimension 2 < ambient 3"):
+        build_polytope([(0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 1, 1), (2, 2, 1), (1, 0, 1)])
     with pytest.raises(DimensionMismatch):
         build_polytope([(0, 0), (1,)])
+
+
+def test_build_unit_6_cube():
+    p = unit_cube(6)
+    assert (len(p.facets), len(p.vertices), p.discarded_points) == (12, 64, ())
+
+
+def test_build_dilated_simplex_lattice_points():
+    # the 35 lattice points of the 4-dilated standard 3-simplex
+    points = [x for x in itertools.product(range(5), repeat=3) if sum(x) <= 4]
+    p = build_polytope(points)
+    assert {(f.normal, f.offset) for f in p.facets} == {
+        ((-1, 0, 0), 0),
+        ((0, -1, 0), 0),
+        ((0, 0, -1), 0),
+        ((1, 1, 1), 4),
+    }
+    assert p.vertices == ((0, 0, 0), (0, 0, 4), (0, 4, 0), (4, 0, 0))
+    assert len(p.discarded_points) == 31
+
+
+@pytest.mark.parametrize(
+    "coordinate",
+    [1.5, 1.0, Fraction(7, 2), Fraction(2), "2", True, None],
+    ids=["float", "integral-float", "fraction", "integral-fraction", "string", "bool", "none"],
+)
+def test_build_refuses_non_integer_coordinates(coordinate):
+    with pytest.raises(NonIntegerCoordinate, match=re.escape(repr(coordinate))):
+        build_polytope([(0, 0), (coordinate, 0), (0, 1)])
+
+
+def test_build_accepts_index_integers():
+    p = build_polytope([(np.int64(0), np.int32(0)), (np.int64(2), 0), (0, np.uint8(1))])
+    assert p.vertices == ((0, 0), (0, 1), (2, 0))
+    assert all(type(c) is int for v in p.vertices for c in v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cloud=hull_clouds())
+def test_hull_matches_brute_force_oracle(cloud):
+    n = len(cloud[0])
+    dim = affine_dimension(cloud)
+    if dim < n:
+        with pytest.raises(NotFullDimensional, match=f"dimension {dim} < ambient {n}"):
+            build_polytope(cloud)
+        return
+    p = build_polytope(cloud)
+    assert (p.facets, p.vertices, p.discarded_points) == brute_force_hull(cloud)
 
 
 def test_every_vertex_on_every_facet_weakly(square):
@@ -149,7 +204,7 @@ def test_scan_beyond_int64_is_exact():
     shift = (2**70, -(2**66))
     p = build_polytope(tri)
     q = build_polytope([(x + shift[0], y + shift[1]) for x, y in tri])
-    assert not q._int64_safe(1, 0, *q._box(1), chunk=1)
+    assert not q._int64_safe(1)
     for k in (1, 2, 3):
         moved = {(x + k * shift[0], y + k * shift[1]) for x, y in p.lattice_points(k)}
         assert q.lattice_points(k) == moved

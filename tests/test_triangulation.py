@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from castelpoly.ehrhart import hstar, normalized_volume
 from castelpoly.errors import NotFullDimensional
-from castelpoly.geometry import _facets_of_points, build_polytope
+from castelpoly.geometry import build_polytope
 from castelpoly.triangulation import (
     betke_mcmullen_check,
     h_vector,
@@ -12,6 +12,7 @@ from castelpoly.triangulation import (
 )
 
 from conftest import (
+    brute_force_facets,
     nonspanning_dim4,
     oracle_clouds,
     reflexive_simplex_3,
@@ -151,7 +152,7 @@ def pulling_oracle(p):
     for pid, pt in enumerate(points):
         new_cells = []
         for cell in cells:
-            facets = _facets_of_points([points[i] for i in cell], n)
+            facets = brute_force_facets([points[i] for i in cell], n)
             if any(f.value(pt) > f.offset for f in facets):
                 new_cells.append(cell)
                 continue
