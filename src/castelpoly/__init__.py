@@ -22,7 +22,7 @@ from .ehrhart import (
     hstar,
     normalized_volume,
 )
-from .exact_linalg import IntMatrix, SnfResult, det, rank, snf, solve
+from .exact_linalg import IntMatrix, SnfResult, det, rank, snf
 from .geometry import Facet, LatticePoint, Polytope, build_polytope
 from .report import build_report, render_text
 from .triangulation import (
@@ -69,7 +69,6 @@ __all__ = [
     "rank",
     "render_text",
     "snf",
-    "solve",
     "spanning_invariant_factors",
 ]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import IntMatrix, snf
+from .exact_linalg import IntMatrix, hermite_basis, snf
 from .ehrhart import HStarVector, degree, hstar
 from .geometry import LatticePoint, Polytope, memo
 
@@ -67,20 +67,20 @@ class CastelnuovoVerdict:
 
 
 def is_spanning(p: Polytope) -> bool:
-    """True iff the lattice points of P affinely generate Z^n: the Smith
-    normal form behind :func:`spanning_invariant_factors` has n nonzero
-    invariant factors, all equal to 1."""
+    """True iff the lattice points of P affinely generate Z^n: the invariant
+    factors from :func:`spanning_invariant_factors` are n ones."""
     return [x for x in spanning_invariant_factors(p) if x != 0] == [1] * p.dim
 
 
 @memo
 def spanning_invariant_factors(p: Polytope) -> tuple[int, ...]:
-    """Invariant factors of the differences of P's lattice points from the
-    lexicographically smallest one (chosen for determinism)."""
+    """Invariant factors of the lattice generated by the differences of P's
+    lattice points from the lexicographically smallest one (chosen for
+    determinism): the Smith normal form of its n x n Hermite basis."""
     pts = sorted(p.lattice_points(1))
     base = pts[0]
     rows = [tuple(x - b for x, b in zip(q, base)) for q in pts[1:]]
-    return snf(IntMatrix.from_rows(rows)).d
+    return snf(IntMatrix.from_rows(hermite_basis(rows))).d
 
 
 @memo

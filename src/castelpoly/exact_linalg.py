@@ -1,16 +1,16 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on Python's arbitrary-precision integers and
-`fractions.Fraction`; there is no floating point anywhere in this module.
-Matrices are small (at most a few hundred rows, ambient dimension <= ~8),
-so simple exact algorithms win over clever ones.
+Everything here runs on Python's arbitrary-precision integers; there is no
+floating point anywhere in this module. There is one elimination, the
+Hermite insertion of rows into an echelon lattice basis (which also gives
+the rank), beside the Bareiss determinant and the verified Smith normal
+form. Matrices are small (ambient dimension <= ~8), so simple exact
+algorithms win over clever ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .errors import InvariantViolation
 
@@ -30,10 +30,6 @@ class IntMatrix:
         if any(len(r) != width for r in ent):
             raise ValueError("ragged rows")
         return cls(ent)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -101,77 +97,66 @@ def det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _echelon(rows):
-    """Fraction-free row echelon form (Bareiss), eliminating below pivots.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
-    Returns (matrix, pivots) where pivots is a list of (row, col) pairs.
+
+def hermite_insert(basis: list[list[int]], row) -> bool:
+    """Add an integer row to the lattice that ``basis`` generates.
+
+    ``basis`` is a list of rows in echelon form: the first nonzero column
+    (pivot) of each row lies strictly right of the one above, and every
+    pivot is positive. It is updated in place and stays in that form, with
+    at most as many rows as columns. Where the row r and a basis row b share
+    the pivot column c, the pair (b, r) is replaced by (x*b + y*r,
+    (b_c/g)*r - (r_c/g)*b) with g = gcd(b_c, r_c) = x*b_c + y*r_c: a 2x2
+    transform of determinant 1, so the lattice is unchanged, and the new r
+    is zero in column c. A row left over with a pivot of its own joins the
+    basis. Returns True iff the basis gained a row, that is iff ``row`` is
+    not in the rational span of the basis (Cohen, GTM 138, section 2.4).
     """
-    a = [list(map(int, r)) for r in rows]
-    nr, nc = len(a), len(a[0])
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if p is None:
+    r = list(map(int, row))
+    i = 0  # the first basis row whose pivot is not left of column c
+    for c in range(len(r)):
+        shared = i < len(basis) and basis[i][c] != 0
+        if r[c] == 0:
+            i += shared
             continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-        for i in range(r + 1, nr):
-            for j in range(nc):
-                if j == c:
-                    continue
-                num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise InvariantViolation("Bareiss division was not exact")
-                a[i][j] = q
-            a[i][c] = 0
-        prev = a[r][c]
-        pivots.append((r, c))
-        r += 1
-    return a, pivots
+        if not shared:
+            basis.insert(i, r if r[c] > 0 else [-v for v in r])
+            return True
+        b = basis[i]
+        q, rem = divmod(r[c], b[c])
+        if rem == 0:
+            r = [v - q * u for u, v in zip(b, r)]
+        else:
+            g, x, y = _xgcd(b[c], r[c])
+            bc, rc = b[c] // g, r[c] // g
+            basis[i] = [x * u + y * v for u, v in zip(b, r)]
+            r = [bc * v - rc * u for u, v in zip(b, r)]
+        i += 1
+    return False
+
+
+def hermite_basis(rows) -> list[list[int]]:
+    """Echelon basis of the lattice the integer rows generate, built by
+    :func:`hermite_insert`; its row count is the rank of the rows."""
+    basis: list[list[int]] = []
+    for row in rows:
+        hermite_insert(basis, row)
+    return basis
 
 
 def rank(m: IntMatrix) -> int:
     """Exact rank over the rationals."""
-    _, pivots = _echelon(m.entries)
-    return len(pivots)
-
-
-def solve(a: IntMatrix, b) -> tuple[Fraction, ...] | None:
-    """One exact rational solution of a*x = b, or None if inconsistent.
-
-    `b` may contain ints or Fractions. Underdetermined systems get free
-    variables set to zero. Elimination is fraction-free; rationals only
-    appear during back substitution.
-    """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length must equal the row count")
-    bfrac = [Fraction(x) for x in b]
-    scale = 1
-    for x in bfrac:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    aug = [list(row) + [int(x * scale)] for row, x in zip(a.entries, bfrac)]
-    ech, pivots = _echelon(aug)
-    nc = a.cols
-    # A pivot in the augmented column, or any leftover nonzero rhs, means no solution.
-    if any(c == nc for _, c in pivots):
-        return None
-    used_rows = {r for r, _ in pivots}
-    for i in range(len(ech)):
-        if i not in used_rows and ech[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for r, c in reversed(pivots):
-        acc = Fraction(ech[r][nc])
-        for j in range(c + 1, nc):
-            if ech[r][j]:
-                acc -= ech[r][j] * x[j]
-        x[c] = acc / ech[r][c]
-    return tuple(xi / scale for xi in x)
+    return len(hermite_basis(m.entries))
 
 
 def snf(m: IntMatrix) -> SnfResult:

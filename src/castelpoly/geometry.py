@@ -49,7 +49,7 @@ from .errors import (
     NonIntegerCoordinate,
     NotFullDimensional,
 )
-from .exact_linalg import IntMatrix, det, rank
+from .exact_linalg import IntMatrix, det, hermite_insert, rank
 
 LatticePoint = tuple[int, ...]
 
@@ -102,13 +102,11 @@ def _starting_simplex(points):
     many as the affine dimension of the points plus one."""
     base = points[0]
     chosen = [0]
-    rows = []
+    basis = []
     for i in range(1, len(points)):
-        row = tuple(x - b for x, b in zip(points[i], base))
-        if rank(IntMatrix.from_rows(rows + [row])) > len(rows):
-            rows.append(row)
+        if hermite_insert(basis, [x - b for x, b in zip(points[i], base)]):
             chosen.append(i)
-            if len(rows) == len(base):
+            if len(basis) == len(base):
                 break
     return chosen
 

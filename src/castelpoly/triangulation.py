@@ -35,24 +35,29 @@ from .exact_linalg import det
 from .geometry import LatticePoint, Polytope, _dot, _ridge_pencils, memo
 
 
+def _volume(vertices) -> int:
+    """Normalized volume |det of edge vectors| of a simplex."""
+    base = vertices[0]
+    return abs(det([tuple(x - b for x, b in zip(q, base)) for q in vertices[1:]]))
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """Simplicial decomposition of a polytope on (a subset of) its lattice
-    points; maximal simplices are (n+1)-tuples of indices into ``points``."""
+    points; maximal simplices are (n+1)-tuples of indices into ``points``,
+    and ``volumes`` holds their normalized volumes in the same order."""
 
     dim: int
     points: tuple[LatticePoint, ...]
     maximal_simplices: tuple[tuple[int, ...], ...]
+    volumes: tuple[int, ...]
 
     def simplex_points(self, simplex):
         return tuple(self.points[i] for i in simplex)
 
     def simplex_volume(self, simplex) -> int:
-        """Normalized volume |det of edge vectors| of one maximal simplex."""
-        pts = self.simplex_points(simplex)
-        base = pts[0]
-        rows = [tuple(x - b for x, b in zip(q, base)) for q in pts[1:]]
-        return abs(det(rows))
+        """Normalized volume of one maximal simplex."""
+        return _volume(self.simplex_points(simplex))
 
 
 @dataclass(frozen=True)
@@ -102,13 +107,13 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
         raise InvariantViolation("pulling left a non-simplex cell")
     if len(set(cells)) != len(cells):
         raise InvariantViolation("pulling produced duplicate cells")
-    t = Triangulation(n, points, tuple(sorted(cells)))
-    covered = sum(t.simplex_volume(s) for s in t.maximal_simplices)
-    if covered != normalized_volume(p):
+    simplices = tuple(sorted(cells))
+    volumes = tuple(_volume([points[i] for i in s]) for s in simplices)
+    if sum(volumes) != normalized_volume(p):
         raise InvariantViolation(
             "triangulation volumes do not add up to the normalized volume"
         )
-    return t
+    return Triangulation(n, points, simplices, volumes)
 
 
 def h_vector(t: Triangulation) -> HVector:
@@ -131,7 +136,7 @@ def h_vector(t: Triangulation) -> HVector:
 
 def is_unimodular(t: Triangulation) -> bool:
     """True iff every maximal simplex has normalized volume 1."""
-    return all(t.simplex_volume(s) == 1 for s in t.maximal_simplices)
+    return all(v == 1 for v in t.volumes)
 
 
 def betke_mcmullen_check(p: Polytope) -> dict:

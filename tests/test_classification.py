@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from castelpoly.classification import (
     ROUTE_DIRECT,
@@ -19,10 +20,13 @@ from castelpoly.classification import (
     spanning_invariant_factors,
 )
 from castelpoly.ehrhart import HStarVector, hstar
+from castelpoly.errors import NotFullDimensional
+from castelpoly.exact_linalg import IntMatrix, snf
 from castelpoly.geometry import build_polytope
 
 from conftest import (
     nonspanning_dim4,
+    oracle_clouds,
     reflexive_simplex_3,
     spanning_non_idp_family,
     square_2x2,
@@ -49,8 +53,6 @@ def test_spanning_family():
 
 def test_spanning_base_point_independent():
     # the verdict may not depend on which lattice point anchors the differences
-    from castelpoly.exact_linalg import IntMatrix, snf
-
     p = nonspanning_dim4()
     pts = sorted(p.lattice_points(1))
     for base in pts:
@@ -59,6 +61,38 @@ def test_spanning_base_point_independent():
         ]
         factors = tuple(x for x in snf(IntMatrix.from_rows(rows)).d if x != 0)
         assert factors == (1, 1, 1, 2)
+
+
+def full_matrix_factors(p):
+    """Oracle: the Smith normal form of all the lattice-point differences."""
+    pts = sorted(p.lattice_points(1))
+    rows = [tuple(x - b for x, b in zip(q, pts[0])) for q in pts[1:]]
+    return snf(IntMatrix.from_rows(rows)).d
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=oracle_clouds)
+def test_spanning_matches_full_matrix_snf(cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    assert spanning_invariant_factors(p) == full_matrix_factors(p)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        nonspanning_dim4,
+        lambda: unit_cube(6),
+        lambda: build_polytope([tuple(4 * int(i == j) for j in range(4)) for i in range(5)]),
+        lambda: spanning_non_idp_family(2),
+        lambda: build_polytope([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]),
+    ],
+)
+def test_spanning_matches_full_matrix_snf_examples(make):
+    p = make()
+    assert spanning_invariant_factors(p) == full_matrix_factors(p)
 
 
 def test_idp_cube():

@@ -108,7 +108,7 @@ def test_corpus_budget_below_one_is_refused(capsys):
     assert capsys.readouterr().err.startswith("error: --budget")
 
 
-@pytest.mark.parametrize("option", ["--coord-bound", "--count"])
+@pytest.mark.parametrize("option", ["--coord-bound", "--count", "--jobs"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_corpus_option_below_one_is_refused(capsys, option, value):
     args = ["corpus", "--dim", "2", "--count", "1", "--seed", "0", option, value]
@@ -116,6 +116,14 @@ def test_corpus_option_below_one_is_refused(capsys, option, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {option} must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_examples_a_below_one_is_refused(capsys, value):
+    assert main(["examples", "family-a", "--a", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --a must be at least 1, got {value}\n"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from castelpoly.exact_linalg import IntMatrix, det, rank, snf, solve
+from castelpoly.exact_linalg import IntMatrix, det, hermite_basis, rank, snf
 
 
 def mat(rows):
@@ -60,32 +60,6 @@ def test_rank_examples():
     assert rank(mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]])) == 2
 
 
-def test_solve_identity():
-    assert solve(mat([[1, 0], [0, 1]]), (1, 2)) == (1, 2)
-
-
-def test_solve_diag_halves():
-    assert solve(mat([[2, 0], [0, 2]]), (1, 1)) == (Fraction(1, 2), Fraction(1, 2))
-
-
-def test_solve_underdetermined_consistent():
-    a = mat([[1, 1]])
-    x = solve(a, (3,))
-    assert x is not None
-    assert sum(x) == 3
-
-
-def test_solve_inconsistent():
-    a = mat([[1, 1], [1, 1]])
-    assert solve(a, (0, 1)) is None
-
-
-def test_solve_rational_rhs():
-    a = mat([[2, 0], [0, 3]])
-    x = solve(a, (Fraction(1, 3), Fraction(1, 2)))
-    assert x == (Fraction(1, 6), Fraction(1, 6))
-
-
 def test_det_known():
     assert det(mat([[1, 2], [3, 4]])) == -2
     assert det(mat([[2, 0], [0, 3]])) == 6
@@ -121,19 +95,6 @@ def test_snf_preserves_determinant_magnitude(rows):
         assert prod == abs(d)
 
 
-@settings(max_examples=150)
-@given(small_matrices, st.data())
-def test_solve_substitutes_back(rows, data):
-    m = mat(rows)
-    b = data.draw(
-        st.lists(st.integers(-9, 9), min_size=m.rows, max_size=m.rows)
-    )
-    x = solve(m, b)
-    if x is not None:
-        for row, rhs in zip(m.entries, b):
-            assert sum(c * xi for c, xi in zip(row, x)) == rhs
-
-
 @settings(max_examples=100)
 @given(small_matrices)
 def test_rank_matches_fraction_gauss(rows):
@@ -153,6 +114,45 @@ def test_rank_matches_fraction_gauss(rows):
         if r == nr:
             break
     assert rank(mat(rows)) == r
+
+
+def reduce_against(basis, row):
+    """What is left of ``row`` after subtracting integer multiples of the
+    echelon basis rows, pivot by pivot; zero iff the row is in their lattice."""
+    row = list(row)
+    for b in basis:
+        c = next(j for j, x in enumerate(b) if x)
+        q, rem = divmod(row[c], b[c])
+        if rem:
+            return row
+        row = [x - q * y for x, y in zip(row, b)]
+    return row
+
+
+def test_hermite_basis_examples():
+    assert hermite_basis([[0, 0], [0, 0]]) == []
+    assert hermite_basis([[2, 0], [3, 0]]) == [[1, 0]]
+    assert hermite_basis([[2, 1], [4, 0]]) == [[2, 1], [0, 2]]
+    # 2 and 3 in the first column meet in their gcd: -1*(2, 1) + 1*(3, 0)
+    # and the remainder 2*(3, 0) - 3*(2, 1), whose sign is then flipped
+    assert hermite_basis([[2, 1], [3, 0]]) == [[1, -1], [0, 3]]
+
+
+@settings(max_examples=200)
+@given(small_matrices)
+def test_hermite_basis_generates_the_row_lattice(rows):
+    basis = hermite_basis(rows)
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    assert pivots == sorted(set(pivots))
+    assert all(b[c] > 0 for b, c in zip(basis, pivots))
+    for row in rows:
+        assert not any(reduce_against(basis, row))
+    factors = [x for x in snf(mat(rows)).d if x != 0]
+    assert len(basis) == rank(mat(rows)) == len(factors)
+    if basis:
+        # same rank, rows inside the basis lattice, same invariant factors:
+        # the two lattices are equal
+        assert [x for x in snf(mat(basis)).d if x != 0] == factors
 
 
 def test_from_rows_rejects_empty_and_ragged():

@@ -16,7 +16,7 @@ from castelpoly.errors import (
     NonIntegerCoordinate,
     NotFullDimensional,
 )
-from castelpoly.exact_linalg import IntMatrix, solve
+from castelpoly.exact_linalg import det
 from castelpoly.geometry import Polytope, build_polytope
 
 from conftest import (
@@ -281,20 +281,24 @@ def test_is_smooth():
     assert not build_polytope([(0, 0), (2, 0), (0, 1)]).is_smooth()
 
 
-def membership_oracle(p, x):
-    """Exact convex-combination feasibility via Caratheodory: x is in the hull
-    iff some affinely independent vertex subset of size n+1 carries it with
-    nonnegative barycentric coordinates."""
+def membership_oracle(p, x, k):
+    """Exact convex-combination feasibility via Caratheodory and Cramer's
+    rule: x is in kP iff some n+1 vertices with det(A) != 0, where A has the
+    columns (v, 1), carry (x, k) with nonnegative coefficients, that is iff
+    every det(A_i), with column i of A replaced by (x, k), is 0 or has the
+    sign of det(A)."""
     n = p.dim
+    target = list(x) + [k]
     for sub in itertools.combinations(p.vertices, n + 1):
         cols = [list(v) + [1] for v in sub]
-        a = IntMatrix.from_rows(list(map(list, zip(*cols))))
-        lam = solve(a, list(x) + [1])
-        if lam is not None and all(c >= 0 for c in lam):
-            # solve() may return a least-structure solution for singular
-            # systems; re-verify the combination to be safe.
-            for i in range(n):
-                assert sum(l * v[i] for l, v in zip(lam, sub)) == x[i]
+        d = det(list(map(list, zip(*cols))))
+        if d == 0:
+            continue
+        minors = [
+            det(list(map(list, zip(*(cols[:i] + [target] + cols[i + 1 :])))))
+            for i in range(n + 1)
+        ]
+        if all(m * d >= 0 for m in minors):
             return True
     return False
 
@@ -302,16 +306,14 @@ def membership_oracle(p, x):
 @pytest.mark.parametrize(
     "maker", [unit_square, lambda: standard_simplex(2), reflexive_simplex_3]
 )
-def test_lattice_points_match_solve_oracle(maker):
+def test_lattice_points_match_barycentric_oracle(maker):
     p = maker()
     for k in (1, 2):
         pts = p.lattice_points(k)
         los = [min(k * v[i] for v in p.vertices) for i in range(p.dim)]
         his = [max(k * v[i] for v in p.vertices) for i in range(p.dim)]
         for x in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-            # membership in kP <=> x/k in P
-            frac = tuple(Fraction(c, k) for c in x)
-            assert (x in pts) == membership_oracle(p, frac)
+            assert (x in pts) == membership_oracle(p, x, k)
 
 
 point_clouds = st.integers(2, 3).flatmap(

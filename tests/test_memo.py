@@ -4,6 +4,7 @@ budget the polytope was built with."""
 import pytest
 
 import castelpoly.classification as classification
+import castelpoly.triangulation as triangulation
 from castelpoly.classification import idp_check, is_spanning
 from castelpoly.corpus import audit_polytope
 from castelpoly.ehrhart import hstar
@@ -11,6 +12,7 @@ from castelpoly.errors import BudgetExceeded
 from castelpoly.geometry import Polytope, build_polytope
 from castelpoly.registry import family_vertices, nonspanning_dim4_vertices
 from castelpoly.report import build_report
+from castelpoly.triangulation import pulling_triangulation
 
 
 def test_report_runs_one_snf(monkeypatch):
@@ -22,8 +24,26 @@ def test_report_runs_one_snf(monkeypatch):
         return real(matrix)
 
     monkeypatch.setattr(classification, "snf", counting)
-    build_report(build_polytope(nonspanning_dim4_vertices()), name="example-3-5")
+    p = build_polytope(nonspanning_dim4_vertices())
+    build_report(p, name="example-3-5")
     assert len(calls) == 1
+    # the SNF sees the n x n Hermite basis, not all the lattice-point differences
+    assert calls[0].rows == p.dim < p.lattice_count(1) - 1
+
+
+@pytest.mark.parametrize("vertices", [nonspanning_dim4_vertices(), family_vertices(2)])
+def test_report_takes_one_det_per_simplex(monkeypatch, vertices):
+    calls = []
+    real = triangulation.det
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(triangulation, "det", counting)
+    p = build_polytope(vertices)
+    build_report(p, name="p")
+    assert len(calls) == len(pulling_triangulation(p).maximal_simplices)
 
 
 # Count scans of the dilates that hstar, degree and the audit's Ehrhart
