@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -47,10 +48,10 @@ def read_polytope_file(path: str) -> tuple[str, list[tuple[int, ...]]]:
                     f"{path}: vertices[{i}] must be a list of integers, got {row!r}"
                 )
             out.append(tuple(row))
-        name = doc.get("name") or default_name
-        if not isinstance(name, str):
+        name = doc.get("name")
+        if name is not None and not isinstance(name, str):
             raise PolytopeFileError(f"{path}: field 'name' must be a string")
-        return name, out
+        return name or default_name, out
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -79,6 +80,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    if args.a is not None and args.name not in (None, "family-a"):
+        print(f"error: --a applies to family-a only, not {args.name}", file=sys.stderr)
+        return 1
     names = [args.name] if args.name else list(REGISTRY_KEYS)
     all_ok = True
     for name in names:
@@ -175,7 +179,14 @@ def main(argv=None) -> int:
             print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
             return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`castelpoly analyze f.json | head -3`);
+        # point it at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PolytopeFileError, UnknownExample) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

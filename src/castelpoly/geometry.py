@@ -4,10 +4,13 @@ dilate enumeration, edges, smoothness.
 A polytope is built from integer points only and must be full-dimensional in
 its ambient space. Its facets come from an integer beneath-beyond hull: a
 greedy starting simplex, then one point at a time, with each facet carrying
-the input points on it. The same point sets tell the vertices apart: a point
-is a vertex when the facets through it meet in it alone. The ridge-and-pencil
-step that adds the facets through a new point is shared with the pulling
-triangulation, which refines cells the same way.
+the input points on it. The polytope's facets keep these sets, cut down to
+its vertices. A point set is a face's vertex set when it equals the meet of
+the facets through it (all points, when there are none): a point is a
+vertex when those facets meet in it alone, and two vertices span an edge
+when they meet in the pair. The ridge-and-pencil step that adds the facets
+through a new point is shared with the pulling triangulation, which refines
+cells the same way.
 
 Dilate scans go fiber by fiber. Along the widest axis j of the bounding box
 of kP, each line through an integer point x' of the box of the other
@@ -49,7 +52,7 @@ from .errors import (
     NonIntegerCoordinate,
     NotFullDimensional,
 )
-from .exact_linalg import IntMatrix, det, hermite_insert, rank
+from .exact_linalg import det, hermite_insert
 
 LatticePoint = tuple[int, ...]
 
@@ -62,10 +65,12 @@ _CHUNK_ENTRIES = 1 << 18
 
 @dataclass(frozen=True, order=True)
 class Facet:
-    """Supporting inequality normal . x <= offset with primitive normal."""
+    """Supporting inequality normal . x <= offset with primitive normal, and
+    the indices of the vertices on it in the polytope's sorted ``vertices``."""
 
     normal: tuple[int, ...]
     offset: int
+    vertices: frozenset[int]
 
     def value(self, x):
         return sum(a * c for a, c in zip(self.normal, x))
@@ -95,6 +100,13 @@ def _cross(diffs, n):
         minor = [[row[c] for c in range(n) if c != j] for row in diffs]
         normal.append((-1) ** j * det(minor))
     return tuple(normal)
+
+
+def _is_face(members, sets, universe):
+    """Whether ``members`` is a face's vertex set: the meet of the facet point
+    sets in ``sets`` that hold it, or ``universe`` if none does, equals it."""
+    through = [s for s in sets if members <= s]
+    return (frozenset.intersection(*through) if through else universe) == members
 
 
 def _starting_simplex(points):
@@ -263,7 +275,8 @@ def memo(fn):
 
 
 class Polytope:
-    """Immutable full-dimensional lattice polytope (vertices + facets).
+    """Immutable full-dimensional lattice polytope: its sorted vertices and
+    its facets, each with the indices of the vertices on it.
 
     Use :func:`build_polytope`, which also fixes ``budget``, the cap on the
     fibers of one dilate scan; invariants are memoized per polytope.
@@ -273,7 +286,8 @@ class Polytope:
 
     def __init__(self, dim, vertices, facets, discarded_points=()):
         self.dim = dim
-        self.vertices = tuple(sorted(vertices))
+        # sorted by the caller: the facets' vertex indices refer to this order
+        self.vertices = tuple(vertices)
         self.facets = tuple(sorted(facets))
         self.discarded_points = tuple(sorted(discarded_points))
         self.budget = DEFAULT_BUDGET
@@ -462,27 +476,15 @@ class Polytope:
 
     # -- combinatorics -------------------------------------------------------
 
-    def active_facets(self, x) -> tuple[Facet, ...]:
-        return tuple(f for f in self.facets if f.value(x) == f.offset)
-
     @memo
     def edges(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
-        """Vertex pairs whose common active facet normals have rank n-1.
-
-        For a polytope the smallest face containing two vertices is the
-        intersection of the facets containing both, so that rank condition
-        says the pair spans a 1-dimensional face.
-        """
-        n = self.dim
-        out = []
-        active = {v: self.active_facets(v) for v in self.vertices}
-        for u, v in itertools.combinations(self.vertices, 2):
-            common = [f.normal for f in active[u] if f.value(v) == f.offset]
-            if len(common) < n - 1:
-                continue
-            if n == 1 or rank(IntMatrix.from_rows(common)) == n - 1:
-                out.append((u, v))
-        return tuple(out)
+        """Vertex pairs that span a 1-dimensional face: the facets through
+        both meet in exactly the pair (see :func:`_is_face`)."""
+        v = self.vertices
+        sets = [f.vertices for f in self.facets]
+        universe = frozenset(range(len(v)))
+        pairs = itertools.combinations(range(len(v)), 2)
+        return tuple((v[i], v[j]) for i, j in pairs if _is_face({i, j}, sets, universe))
 
     def is_smooth(self) -> bool:
         """Simple with primitive edge directions forming a lattice basis at
@@ -539,18 +541,15 @@ def build_polytope(points, budget: int = DEFAULT_BUDGET) -> Polytope:
             f"affine hull has dimension {len(simplex) - 1} < ambient {n}"
         )
     facets = _beneath_beyond(unique, simplex)
-    # a point is a vertex iff the facets through it meet in it alone
-    through = [[] for _ in unique]
-    for _, _, on in facets:
-        for i in on:
-            through[i].append(on)
-    vertices = []
-    discarded = []
-    for p, sets in zip(unique, through):
-        if sets and len(frozenset.intersection(*sets)) == 1:
-            vertices.append(p)
-        else:
-            discarded.append(p)
-    p = Polytope(n, vertices, [Facet(a, b) for a, b, _ in facets], discarded)
+    sets = [on for _, _, on in facets]
+    universe = frozenset(range(len(unique)))
+    kept = [i for i in range(len(unique)) if _is_face({i}, sets, universe)]
+    position = {i: k for k, i in enumerate(kept)}
+    p = Polytope(
+        n,
+        [unique[i] for i in kept],
+        [Facet(a, b, frozenset(position[i] for i in on if i in position)) for a, b, on in facets],
+        [q for i, q in enumerate(unique) if i not in position],
+    )
     p.budget = budget
     return p

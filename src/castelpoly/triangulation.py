@@ -7,20 +7,20 @@ the final cells are simplices and every lattice point is used as a vertex,
 which is what the unimodularity criterion needs.
 
 A cell is its list of facets a.x <= b, each with the indices of the cell's
-vertices on it; P itself is the first cell. Each cell carries the later
-lattice points, in pull order, that lie in it, and pulls the first of them,
-q. The cone q * G over a facet G with slack s_G = b_G - a_G.q > 0 has the
-facet G and, for every other facet H that meets G in a ridge, the member
-(s_G a_H - s_H a_G).x <= s_G b_H - s_H b_G of the pencil of hyperplanes
-through G & H that passes through q, with vertices (G & H) + {q}. Two facets
-meet in a ridge when no third facet holds all their common vertices; in
-dimension 1 the two end points meet in the empty ridge. So the facets of
-every cell follow from its parent's without a hull search, by the same step
-(:func:`geometry._ridge_pencils`) as the beneath-beyond hull of P. A cell
-with n + 1 facets is a simplex, and pulling one of its own vertices would
-rebuild it, so it holds no point that is one of its vertices. A cell with no
-point left to pull is a simplex of the triangulation, whose vertices are
-those of its facets.
+vertices on it; P with its stored facets is the first cell. Each cell carries
+the later lattice points, in pull order, that lie in it, and pulls the first
+of them, q. The cone q * G over a facet G with slack s_G = b_G - a_G.q > 0
+has the facet G and, for every other facet H that meets G in a ridge, the
+member (s_G a_H - s_H a_G).x <= s_G b_H - s_H b_G of the pencil of
+hyperplanes through G & H that passes through q, with vertices (G & H) + {q}.
+Two facets meet in a ridge when no third facet holds all their common
+vertices; in dimension 1 the two end points meet in the empty ridge. So the
+facets of every cell follow from its parent's without a hull search, by the
+same step (:func:`geometry._ridge_pencils`) as the beneath-beyond hull of P.
+A cell with n + 1 facets is a simplex, and pulling one of its own vertices
+would rebuild it, so it holds no point that is one of its vertices. A cell
+with no point left to pull is a simplex of the triangulation, whose vertices
+are those of its facets.
 """
 
 from __future__ import annotations
@@ -76,10 +76,8 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     index = {pt: i for i, pt in enumerate(points)}
 
     # a cell's facets: (normal, offset, indices of the cell's vertices on it)
-    root = [
-        (f.normal, f.offset, frozenset(index[v] for v in p.vertices if f.value(v) == f.offset))
-        for f in p.facets
-    ]
+    corner = [index[v] for v in p.vertices]
+    root = [(f.normal, f.offset, frozenset(corner[i] for i in f.vertices)) for f in p.facets]
     stack = [(root, range(len(points)))]
     cells = []
     while stack:

@@ -62,10 +62,11 @@ oracle_clouds = st.integers(1, 4).flatmap(
 
 
 def brute_force_facets(points, n):
-    """Oracle: all facets of conv(points), assuming the points affinely span
-    R^n. Tries every n-subset spanning a hyperplane and keeps the inequality
-    when all points lie weakly on one side; any supporting hyperplane through
-    n affinely independent points is a facet hyperplane."""
+    """Oracle: all facets of conv(points) as (normal, offset), assuming the
+    points affinely span R^n. Tries every n-subset spanning a hyperplane and
+    keeps the inequality when all points lie weakly on one side; any
+    supporting hyperplane through n affinely independent points is a facet
+    hyperplane."""
     seen = set()
     for subset in itertools.combinations(points, n):
         base = subset[0]
@@ -79,7 +80,7 @@ def brute_force_facets(points, n):
         if max(values) > offset:
             normal, offset = tuple(-x for x in normal), -offset
         normal, g = _primitive(normal)
-        seen.add(Facet(normal, offset // g))
+        seen.add((normal, offset // g))
     return sorted(seen)
 
 
@@ -92,16 +93,35 @@ def affine_dimension(points):
 def brute_force_hull(points):
     """Oracle for build_polytope: (facets, vertices, discarded points) of the
     distinct full-dimensional points. A point is a vertex when the normals of
-    the facets through it have rank n."""
+    the facets through it have rank n; each facet holds the indices of the
+    vertices on it, found by evaluating its inequality at every vertex."""
     unique = sorted(set(map(tuple, points)))
     n = len(unique[0])
     facets = brute_force_facets(unique, n)
     vertices, discarded = [], []
     for q in unique:
-        active = [f.normal for f in facets if f.value(q) == f.offset]
+        active = [a for a, b in facets if _dot(a, q) == b]
         vertex = len(active) >= n and rank(IntMatrix.from_rows(active)) == n
         (vertices if vertex else discarded).append(q)
+    facets = [
+        Facet(a, b, frozenset(i for i, v in enumerate(vertices) if _dot(a, v) == b))
+        for a, b in facets
+    ]
     return tuple(facets), tuple(vertices), tuple(discarded)
+
+
+def rank_edges(p):
+    """Oracle: the vertex pairs whose common facets have normals of rank
+    n - 1. The smallest face holding two vertices is the meet of the facets
+    through both, so the rank says the pair spans a 1-dimensional face; in
+    dimension 1 the two vertices of the segment are its one edge."""
+    n = p.dim
+    out = []
+    for u, v in itertools.combinations(p.vertices, 2):
+        common = [f.normal for f in p.facets if f.value(u) == f.offset == f.value(v)]
+        if n == 1 or (len(common) >= n - 1 and rank(IntMatrix.from_rows(common)) == n - 1):
+            out.append((u, v))
+    return tuple(out)
 
 
 def _lattice_segment(a, b):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,10 @@ def test_read_json_file(tmp_path):
     name, verts = read_polytope_file(path)
     assert name == "sq"
     assert verts == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    # an absent, null or empty name falls back to the file stem
+    for i, name in enumerate(["", '"name": null, ', '"name": "", ']):
+        path = write(tmp_path, f"stem{i}.json", '{' + name + '"vertices": [[0]]}')
+        assert read_polytope_file(path) == (f"stem{i}", [(0,)])
 
 
 def test_read_text_file(tmp_path):
@@ -47,6 +55,10 @@ def test_read_file_errors(tmp_path):
         read_polytope_file(write(tmp_path, "bad3.json", '{"vertices": [[1,0],[0.5,1]]}'))
     with pytest.raises(PolytopeFileError, match=r"vertices\[1\]"):
         read_polytope_file(write(tmp_path, "bad4.json", '{"vertices": [[0,0],[true,0],[0,1]]}'))
+    for name in ("5", "0", "false", "[]", "{}"):
+        doc = f'{{"name": {name}, "vertices": [[0,0],[1,0],[0,1]]}}'
+        with pytest.raises(PolytopeFileError, match="field 'name' must be a string"):
+            read_polytope_file(write(tmp_path, "badname.json", doc))
 
 
 def test_analyze_nonspanning_file(tmp_path, capsys):
@@ -192,6 +204,36 @@ def test_examples_family_with_parameter(capsys):
     assert main(["examples", "family-a", "--a", "1"]) == 0
     out = capsys.readouterr().out
     assert "a=1" in out and "a=2" not in out
+
+
+def test_examples_a_only_for_family_a(capsys):
+    assert main(["examples", "square-2x2", "--a", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --a applies to family-a only, not square-2x2\n"
+    # with no name, --a goes to family-a and every other example runs as usual
+    assert main(["examples", "--a", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "[family-a] a=1" in out and "a=2" not in out
+    assert all(f"[{name}]" in out for name in REGISTRY_KEYS)
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    path = write(tmp_path, "sq.txt", "0 0\n2 0\n0 2\n2 2\n")
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "castelpoly.cli", "analyze", path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_corpus_generation_deterministic():

@@ -18,6 +18,7 @@ from castelpoly.errors import (
 )
 from castelpoly.exact_linalg import det
 from castelpoly.geometry import Polytope, build_polytope
+from castelpoly.registry import standard_simplex_vertices
 
 from conftest import (
     affine_dimension,
@@ -25,6 +26,7 @@ from conftest import (
     hull_clouds,
     nonspanning_dim4,
     oracle_clouds,
+    rank_edges,
     reflexive_simplex_3,
     spanning_non_idp_family,
     standard_simplex,
@@ -243,9 +245,38 @@ def test_fiber_scan_matches_box_oracle(python_ints, cloud):
             assert p._scan(k, collect=True) == expected
 
 
-def test_edges_square_and_simplex(square):
-    assert len(square.edges()) == 4
-    assert len(standard_simplex(3).edges()) == 6
+SQUARE_PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
+
+
+# the segments have no facet through both ends: the meet of no facets is
+# the whole segment, which is its one edge
+@pytest.mark.parametrize(
+    "points, edges",
+    [
+        (list(itertools.product((0, 1), repeat=2)), 4),
+        (standard_simplex_vertices(3), 6),
+        ([(0,), (1,)], 1),
+        ([(0,), (3,)], 1),
+        (SQUARE_PYRAMID, 8),
+        (list(itertools.product((0, 1), repeat=6)), 192),
+    ],
+    ids=["square", "3-simplex", "segment-1", "segment-3", "square-pyramid", "6-cube"],
+)
+def test_edges_square_and_simplex(points, edges):
+    p = build_polytope(points)
+    assert len(p.edges()) == edges
+    assert p.edges() == rank_edges(p)
+
+
+# about three in four hull clouds are full-dimensional, so over 200 reach edges()
+@settings(max_examples=300, deadline=None)
+@given(cloud=hull_clouds())
+def test_edges_match_rank_oracle(cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    assert p.edges() == rank_edges(p)
 
 
 def brute_force_edges(p):
@@ -274,11 +305,23 @@ def test_edges_against_face_oracle():
         assert got == brute_force_edges(p)
 
 
-def test_is_smooth():
-    assert standard_simplex(4).is_smooth()
-    assert unit_cube(3).is_smooth()
-    # vertex (0, 1) sees primitive directions (0, -1) and (2, -1): determinant 2
-    assert not build_polytope([(0, 0), (2, 0), (0, 1)]).is_smooth()
+# the triangle's vertex (0, 1) sees primitive directions (0, -1) and (2, -1),
+# of determinant 2; the pyramid's apex lies on four edges in dimension 3
+@pytest.mark.parametrize(
+    "points, smooth",
+    [
+        (standard_simplex_vertices(4), True),
+        (list(itertools.product((0, 1), repeat=3)), True),
+        ([(0, 0), (2, 0), (0, 1)], False),
+        ([(0,), (1,)], True),
+        ([(0,), (3,)], True),
+        (SQUARE_PYRAMID, False),
+        (list(itertools.product((0, 1), repeat=6)), True),
+    ],
+    ids=["4-simplex", "3-cube", "triangle", "segment-1", "segment-3", "square-pyramid", "6-cube"],
+)
+def test_is_smooth(points, smooth):
+    assert build_polytope(points).is_smooth() is smooth
 
 
 def membership_oracle(p, x, k):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from castelpoly.ehrhart import hstar, normalized_volume
 from castelpoly.errors import NotFullDimensional
-from castelpoly.geometry import build_polytope
+from castelpoly.geometry import _dot, build_polytope
 from castelpoly.triangulation import (
     betke_mcmullen_check,
     h_vector,
@@ -153,12 +153,12 @@ def pulling_oracle(p):
         new_cells = []
         for cell in cells:
             facets = brute_force_facets([points[i] for i in cell], n)
-            if any(f.value(pt) > f.offset for f in facets):
+            if any(_dot(a, pt) > b for a, b in facets):
                 new_cells.append(cell)
                 continue
-            for f in facets:
-                if f.value(pt) < f.offset:
-                    on = tuple(i for i in cell if f.value(points[i]) == f.offset)
+            for a, b in facets:
+                if _dot(a, pt) < b:
+                    on = tuple(i for i in cell if _dot(a, points[i]) == b)
                     new_cells.append(tuple(sorted(on + (pid,))))
         cells = new_cells
     return points, tuple(sorted(cells))
