@@ -172,7 +172,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     # checked here, not by argparse: its exit 2 means a counterexample to `idp`
-    for option in ("budget", "kmax", "coord_bound", "count", "jobs", "a"):
+    for option in ("budget", "kmax", "dim", "coord_bound", "count", "jobs", "a"):
         value = getattr(args, option, None)
         if value is not None and value < 1:
             flag = "--" + option.replace("_", "-")

@@ -134,7 +134,8 @@ def _ridge_pencils(facets, slack, g, others, apex):
     yields the member (s_g a_h - s_h a_g).x <= s_g b_h - s_h b_g of the
     pencil of hyperplanes through G & H that passes through q, made
     primitive, with G on its inner side and the point set (G & H) + {apex},
-    where ``apex`` is the index of q.
+    where ``apex`` is the index of q. Each comes as (h, d, facet), where d is
+    the gcd that making the normal primitive divided out.
     """
     a_g, b_g, on_g = facets[g]
     # a ridge spans n - 2 dimensions, so it holds at least n - 1 points
@@ -150,7 +151,7 @@ def _ridge_pencils(facets, slack, g, others, apex):
             tuple(slack[g] * x - slack[h] * y for x, y in zip(a_h, a_g))
         )
         # q lies on the hyperplane, so d divides the offset
-        yield normal, (slack[g] * b_h - slack[h] * b_g) // d, ridge | {apex}
+        yield h, d, (normal, (slack[g] * b_h - slack[h] * b_g) // d, ridge | {apex})
 
 
 def _beneath_beyond(points, simplex):
@@ -191,7 +192,7 @@ def _beneath_beyond(points, simplex):
         if visible:
             for h, s in enumerate(slack):
                 if s > 0:
-                    kept.extend(_ridge_pencils(facets, slack, h, visible, iq))
+                    kept.extend(f for _, _, f in _ridge_pencils(facets, slack, h, visible, iq))
         facets = kept
     return facets
 

@@ -8,19 +8,33 @@ which is what the unimodularity criterion needs.
 
 A cell is its list of facets a.x <= b, each with the indices of the cell's
 vertices on it; P with its stored facets is the first cell. Each cell carries
-the later lattice points, in pull order, that lie in it, and pulls the first
-of them, q. The cone q * G over a facet G with slack s_G = b_G - a_G.q > 0
-has the facet G and, for every other facet H that meets G in a ridge, the
-member (s_G a_H - s_H a_G).x <= s_G b_H - s_H b_G of the pencil of
-hyperplanes through G & H that passes through q, with vertices (G & H) + {q}.
-Two facets meet in a ridge when no third facet holds all their common
-vertices; in dimension 1 the two end points meet in the empty ridge. So the
-facets of every cell follow from its parent's without a hull search, by the
-same step (:func:`geometry._ridge_pencils`) as the beneath-beyond hull of P.
-A cell with n + 1 facets is a simplex, and pulling one of its own vertices
-would rebuild it, so it holds no point that is one of its vertices. A cell
-with no point left to pull is a simplex of the triangulation, whose vertices
-are those of its facets.
+the later lattice points, in pull order, that lie in it, each with its slacks
+sigma = b - a.x against the cell's facets, and pulls the first of them, q,
+whose slacks are s. The cone q * G over a facet G with s_G > 0 has the facet
+G and, for every other facet H that meets G in a ridge, the member
+(s_G a_H - s_H a_G).x <= s_G b_H - s_H b_G of the pencil of hyperplanes
+through G & H that passes through q, divided by the gcd d of its normal,
+with vertices (G & H) + {q}. Two facets meet in a ridge when no third facet
+holds all their common vertices; in dimension 1 the two end points meet in
+the empty ridge. So the facets of every cell follow from its parent's
+without a hull search, by the same step (:func:`geometry._ridge_pencils`) as
+the beneath-beyond hull of P. Three rules decide the rest:
+
+* Inherited slacks. Only P's facets are evaluated at points. A point's
+  slacks in the cone q * G are sigma_G and, for the pencil facet of H,
+  (s_G sigma_H - s_H sigma_G) / d, an exact division.
+* Ray exit. A later point x lies in the cone q * G exactly when G attains
+  the least sigma_G(x) / s_G over the facets with s_G > 0: the ray from q
+  through x leaves the cell through G. Ratios are compared by
+  cross-multiplication, and a tie puts x in every cone that attains it.
+* Leaf cones. A cell with n + 1 facets is a simplex, and pulling one of its
+  own vertices would rebuild it, so it holds no point that is one of its
+  vertices. A cone over a facet with n vertices is such a simplex; when it
+  holds no point but those vertices it is a maximal simplex at once, and
+  its facets are never built.
+
+A cell with no point left to pull is a simplex of the triangulation, whose
+vertices are those of its facets.
 """
 
 from __future__ import annotations
@@ -75,31 +89,54 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     points = tuple(sorted(p.lattice_points(1)))
     index = {pt: i for i, pt in enumerate(points)}
 
-    # a cell's facets: (normal, offset, indices of the cell's vertices on it)
+    # a cell's facets: (normal, offset, indices of the cell's vertices on it),
+    # and its later points: (index, slacks b - a.x against those facets)
     corner = [index[v] for v in p.vertices]
     root = [(f.normal, f.offset, frozenset(corner[i] for i in f.vertices)) for f in p.facets]
-    stack = [(root, range(len(points)))]
+    held = [(i, tuple(b - _dot(a, x) for a, b, _ in root)) for i, x in enumerate(points)]
+    stack = [(root, held)]
     cells = []
     while stack:
         facets, held = stack.pop()
         corners = frozenset().union(*(on for _, _, on in facets))
         if len(facets) == n + 1:
             # a simplex: pulling one of its own vertices rebuilds it
-            held = [i for i in held if i not in corners]
+            held = [x for x in held if x[0] not in corners]
         if not held:
             cells.append(tuple(sorted(corners)))
             continue
-        q = points[held[0]]
-        later = held[1:]
-        slack = [b - _dot(a, q) for a, b, _ in facets]
-        for g, s in enumerate(slack):
-            if s == 0:
+        (iq, s), later = held[0], held[1:]
+        up = [g for g, sg in enumerate(s) if sg > 0]
+        inside = {g: [] for g in up}
+        for x in later:
+            # the facets G of least sigma_G(x) / s_G, through which the ray
+            # from q through x leaves the cell, are those of the cones q * G
+            # that hold x
+            sigma = x[1]
+            exits = [up[0]]
+            for h in up[1:]:
+                g = exits[0]
+                c = sigma[h] * s[g] - sigma[g] * s[h]
+                if c < 0:
+                    exits = [h]
+                elif c == 0:
+                    exits.append(h)
+            for g in exits:
+                inside[g].append(x)
+        for g in up:
+            on = facets[g][2]
+            if len(on) == n and all(i in on for i, _ in inside[g]):
+                # a simplex cone holding none but its own vertices
+                cells.append(tuple(sorted(on | {iq})))
                 continue
-            cone = [facets[g], *_ridge_pencils(facets, slack, g, range(len(facets)), held[0])]
-            inside = [
-                i for i in later if all(_dot(a, points[i]) <= b for a, b, _ in cone)
+            pencils = list(_ridge_pencils(facets, s, g, range(len(facets)), iq))
+            cone = [facets[g], *(f for _, _, f in pencils)]
+            # the pencil facet's slack is (s_G sigma_H - s_H sigma_G) / d
+            inherited = [
+                (i, (sigma[g], *((s[g] * sigma[h] - s[h] * sigma[g]) // d for h, d, _ in pencils)))
+                for i, sigma in inside[g]
             ]
-            stack.append((cone, inside))
+            stack.append((cone, inherited))
 
     if any(len(c) != n + 1 for c in cells):
         raise InvariantViolation("pulling left a non-simplex cell")

@@ -120,7 +120,7 @@ def test_corpus_budget_below_one_is_refused(capsys):
     assert capsys.readouterr().err.startswith("error: --budget")
 
 
-@pytest.mark.parametrize("option", ["--coord-bound", "--count", "--jobs"])
+@pytest.mark.parametrize("option", ["--dim", "--coord-bound", "--count", "--jobs"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_corpus_option_below_one_is_refused(capsys, option, value):
     args = ["corpus", "--dim", "2", "--count", "1", "--seed", "0", option, value]

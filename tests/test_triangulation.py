@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from castelpoly.ehrhart import hstar, normalized_volume
 from castelpoly.errors import NotFullDimensional
-from castelpoly.geometry import _dot, build_polytope
+import castelpoly.triangulation as triangulation
+from castelpoly.geometry import _dot, _ridge_pencils, build_polytope
 from castelpoly.triangulation import (
+    _volume,
     betke_mcmullen_check,
     h_vector,
     is_unimodular,
@@ -13,6 +17,7 @@ from castelpoly.triangulation import (
 
 from conftest import (
     brute_force_facets,
+    hull_clouds,
     nonspanning_dim4,
     oracle_clouds,
     reflexive_simplex_3,
@@ -170,17 +175,6 @@ def cross_polytope(n):
     )
 
 
-@pytest.mark.parametrize(
-    "maker",
-    [lambda: unit_cube(4), lambda: cross_polytope(4), lambda: build_polytope([(0,), (3,)])],
-    ids=["4-cube", "4-cross-polytope", "segment"],
-)
-def test_pulling_matches_oracle_on_non_simplex_cells(maker):
-    p = maker()
-    t = pulling_triangulation(p)
-    assert (t.points, t.maximal_simplices) == pulling_oracle(p)
-
-
 @settings(max_examples=100, deadline=None)
 @given(cloud=oracle_clouds)
 def test_pulling_matches_oracle(cloud):
@@ -190,3 +184,106 @@ def test_pulling_matches_oracle(cloud):
         return
     t = pulling_triangulation(p)
     assert (t.points, t.maximal_simplices) == pulling_oracle(p)
+
+
+def cone_oracle(p):
+    """Oracle: the pulling loop that tests every later point against every
+    inequality of every cone q * G by a dot product, and builds every cone's
+    facets, simplex cones included. Returns (points, maximal simplices,
+    volumes) as :func:`pulling_triangulation` does."""
+    n = p.dim
+    points = tuple(sorted(p.lattice_points(1)))
+    index = {pt: i for i, pt in enumerate(points)}
+    corner = [index[v] for v in p.vertices]
+    root = [(f.normal, f.offset, frozenset(corner[i] for i in f.vertices)) for f in p.facets]
+    stack = [(root, range(len(points)))]
+    cells = []
+    while stack:
+        facets, held = stack.pop()
+        corners = frozenset().union(*(on for _, _, on in facets))
+        if len(facets) == n + 1:
+            held = [i for i in held if i not in corners]
+        if not held:
+            cells.append(tuple(sorted(corners)))
+            continue
+        q = points[held[0]]
+        later = held[1:]
+        slack = [b - _dot(a, q) for a, b, _ in facets]
+        for g, s in enumerate(slack):
+            if s == 0:
+                continue
+            pencils = _ridge_pencils(facets, slack, g, range(len(facets)), held[0])
+            cone = [facets[g], *(f for _, _, f in pencils)]
+            inside = [i for i in later if all(_dot(a, points[i]) <= b for a, b, _ in cone)]
+            stack.append((cone, inside))
+    simplices = tuple(sorted(cells))
+    return points, simplices, tuple(_volume([points[i] for i in s]) for s in simplices)
+
+
+def dilated_triangle():
+    """3 x the standard triangle: a cone over its long edge is a simplex that
+    holds points other than its corners."""
+    return build_polytope([(0, 0), (3, 0), (0, 3)])
+
+
+def dilated_cube(n):
+    return build_polytope(list(itertools.product((0, 2), repeat=n)))
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        lambda: unit_cube(4),
+        lambda: cross_polytope(4),
+        lambda: build_polytope([(0,), (3,)]),
+        dilated_triangle,
+    ],
+    ids=["4-cube", "4-cross-polytope", "segment", "3-triangle"],
+)
+def test_pulling_matches_oracle_on_non_simplex_cells(maker):
+    p = maker()
+    t = pulling_triangulation(p)
+    assert (t.points, t.maximal_simplices) == pulling_oracle(p)
+    assert (t.points, t.maximal_simplices, t.volumes) == cone_oracle(p)
+
+
+def test_dilated_triangle_pulls_past_its_simplex_cones():
+    t = pulling_triangulation(dilated_triangle())
+    assert len(t.points) == 10
+    assert t.volumes == (1,) * 9
+
+
+# hull clouds put many points on shared boundary hyperplanes, so rays from q
+# often leave a cell through a ridge and the point lies in several cones
+@settings(max_examples=300, deadline=None)
+@given(cloud=hull_clouds())
+def test_pulling_matches_cone_oracle(cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    t = pulling_triangulation(p)
+    assert (t.points, t.maximal_simplices, t.volumes) == cone_oracle(p)
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [square_2x2, dilated_triangle, lambda: unit_cube(4), lambda: dilated_cube(3)],
+    ids=["square-2x2", "3-triangle", "4-cube", "2x-3-cube"],
+)
+def test_inherited_slacks_are_the_facet_slacks(monkeypatch, maker):
+    # every cell pulls q with the slacks b - a.q of its facets, although
+    # only the root evaluates a facet at a point
+    p = maker()
+    points = tuple(sorted(p.lattice_points(1)))
+    pulled = []
+
+    def spy(facets, slack, g, others, apex):
+        assert list(slack) == [b - _dot(a, points[apex]) for a, b, _ in facets]
+        pulled.append(apex)
+        return _ridge_pencils(facets, slack, g, others, apex)
+
+    monkeypatch.setattr(triangulation, "_ridge_pencils", spy)
+    t = triangulation.pulling_triangulation(p)
+    assert set(pulled) - {0}, "no cell below the root was pulled"
+    assert sum(t.volumes) == normalized_volume(p)
