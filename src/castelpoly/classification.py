@@ -83,7 +83,6 @@ def spanning_invariant_factors(p: Polytope) -> tuple[int, ...]:
     return snf(IntMatrix.from_rows(hermite_basis(rows))).d
 
 
-@memo
 def idp_check(p: Polytope, kmax: int | None = None) -> IdpVerdict:
     """Decide the integer decomposition property by sumset comparison.
 
@@ -93,9 +92,12 @@ def idp_check(p: Polytope, kmax: int | None = None) -> IdpVerdict:
     n-1 it holds for all k (Ewald-Wessels / Bruns-Gubeladze-Trung), and the
     smaller dilates were checked directly.
     """
-    n = p.dim
-    cutoff = max(2, n - 1)
-    k_top = cutoff if kmax is None else kmax
+    return _idp_up_to(p, max(2, p.dim - 1) if kmax is None else kmax)
+
+
+@memo
+def _idp_up_to(p: Polytope, k_top: int) -> IdpVerdict:
+    """:func:`idp_check` to the resolved depth ``k_top``."""
     ground = p.lattice_points(1)
     prev = ground
     for k in range(2, k_top + 1):
@@ -106,7 +108,7 @@ def idp_check(p: Polytope, kmax: int | None = None) -> IdpVerdict:
             witness = min(missing)
             return IdpVerdict(STATUS_COUNTEREXAMPLE, kmax_checked=k, witness=(k, witness))
         prev = target
-    status = STATUS_CERTIFIED if k_top >= cutoff else STATUS_PARTIAL
+    status = STATUS_CERTIFIED if k_top >= max(2, p.dim - 1) else STATUS_PARTIAL
     return IdpVerdict(status, kmax_checked=k_top)
 
 
@@ -218,12 +220,11 @@ def audit_bounds(p: Polytope) -> dict:
     return {"hibi": hibi, "hkn": hkn, "volume": vol}
 
 
-def audit_castelnuovo_implies_idp(p: Polytope, kmax: int | None = None) -> str:
+def audit_castelnuovo_implies_idp(p: Polytope) -> str:
     """Every Castelnuovo polytope must be IDP; returns pass/fail/inapplicable."""
     if not is_castelnuovo(p).verdict:
         return "inapplicable"
-    verdict = idp_check(p, kmax)
-    return "pass" if verdict.is_idp_certified else "fail"
+    return "pass" if idp_check(p).is_idp_certified else "fail"
 
 
 def audit_degree_two_idp(p: Polytope) -> str:

@@ -80,6 +80,8 @@ def audit_polytope(p: Polytope) -> dict[str, str]:
     """Run the full audit battery on one polytope; every outcome is one of
     pass/fail/inapplicable, or skipped across the board on budget exhaustion."""
     try:
+        # pulling collects P, so the counting scans that follow skip it
+        bm = betke_mcmullen_check(p)
         results: dict[str, str] = {}
         agree = is_castelnuovo(p).verdict == is_castelnuovo_direct(p).verdict
         results["route_agreement"] = "pass" if agree else "fail"
@@ -94,7 +96,6 @@ def audit_polytope(p: Polytope) -> dict[str, str]:
 
         results["castelnuovo_implies_idp"] = audit_castelnuovo_implies_idp(p)
         results["degree_two_idp"] = audit_degree_two_idp(p)
-        bm = betke_mcmullen_check(p)
         results["betke_mcmullen"] = _tri(True, bm["consistent"])
 
         flat = audit_interior_flatness(p)
@@ -184,6 +185,11 @@ def render_corpus_text(summary: dict) -> str:
         for item in summary["failures"]:
             lines.append(f"  {item['name']} failed {','.join(item['failed_audits'])}")
             lines.append(f"    {{\"name\": \"{item['name']}\", \"vertices\": {item['vertices']}}}")
-    else:
+    if summary["total_skipped"]:
+        lines.append(
+            f"{summary['total_skipped']} of {summary['count']} polytopes skipped: "
+            f"a dilate scan needed more than the budget of {summary['budget']} fibers"
+        )
+    elif not summary["failures"]:
         lines.append("all audits passed")
     return "\n".join(lines)

@@ -8,9 +8,11 @@ the input points on it. The polytope's facets keep these sets, cut down to
 its vertices. A point set is a face's vertex set when it equals the meet of
 the facets through it (all points, when there are none): a point is a
 vertex when those facets meet in it alone, and two vertices span an edge
-when they meet in the pair. The ridge-and-pencil step that adds the facets
-through a new point is shared with the pulling triangulation, which refines
-cells the same way.
+when they meet in the pair. P is smooth when every vertex lies on exactly n
+facets and their normals form a lattice basis (Cox, Little and Schenck,
+Toric Varieties, section 2.4), which the same sets tell. The
+ridge-and-pencil step that adds the facets through a new point is shared
+with the pulling triangulation, which refines cells the same way.
 
 Dilate scans go fiber by fiber. Along the widest axis j of the bounding box
 of kP, each line through an integer point x' of the box of the other
@@ -34,7 +36,6 @@ are at most 2^63 - 1.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import operator
 from bisect import bisect_left, bisect_right
@@ -255,21 +256,15 @@ class _ScanPlan(NamedTuple):
 
 
 def memo(fn):
-    """Memoize ``fn(p, ...)`` in the memo dict of the polytope ``p``, keyed by
-    fn's qualified name and its other arguments with defaults filled in."""
-    sig = inspect.signature(fn)
-    arity = len(sig.parameters)
+    """Memoize ``fn(p, *args)`` in the memo dict of the polytope ``p``, keyed
+    by fn's qualified name and the positional arguments ``args``."""
 
     @functools.wraps(fn)
-    def cached(*args, **kwargs):
-        if kwargs or len(args) != arity:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
-        key = (fn.__qualname__, *args[1:])
-        table = args[0]._memo
+    def cached(p, *args):
+        key = (fn.__qualname__, *args)
+        table = p._memo
         if key not in table:
-            table[key] = fn(*args)
+            table[key] = fn(p, *args)
         return table[key]
 
     return cached
@@ -488,23 +483,14 @@ class Polytope:
         return tuple((v[i], v[j]) for i, j in pairs if _is_face({i, j}, sets, universe))
 
     def is_smooth(self) -> bool:
-        """Simple with primitive edge directions forming a lattice basis at
-        every vertex (determinant +-1)."""
-        n = self.dim
-        incident: dict[LatticePoint, list[LatticePoint]] = {v: [] for v in self.vertices}
-        for u, v in self.edges():
-            incident[u].append(v)
-            incident[v].append(u)
-        for v, nbrs in incident.items():
-            if len(nbrs) != n:
-                return False
-            dirs = []
-            for w in nbrs:
-                d = tuple(a - b for a, b in zip(w, v))
-                dirs.append(_primitive(d)[0])
-            if abs(det(dirs)) != 1:
-                return False
-        return True
+        """Whether the toric variety of P is smooth: every vertex lies on
+        exactly n facets, and their normals form a lattice basis
+        (determinant +-1)."""
+        at_vertex: list[list[tuple[int, ...]]] = [[] for _ in self.vertices]
+        for f in self.facets:
+            for i in f.vertices:
+                at_vertex[i].append(f.normal)
+        return all(len(normals) == self.dim and abs(det(normals)) == 1 for normals in at_vertex)
 
 
 def _coordinate(c) -> int:

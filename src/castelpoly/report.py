@@ -17,9 +17,11 @@ from .triangulation import betke_mcmullen_check, pulling_triangulation
 
 
 def build_report(p: Polytope, name: str = "polytope", kmax: int | None = None) -> dict:
+    # IDP's collecting scans also count their dilates, so hstar finds those
+    # counts and scans each dilate at most once
+    idp = idp_check(p, kmax)
     h = hstar(p)
     g = genus_data(h)
-    idp = idp_check(p, kmax)
     castel = is_castelnuovo(p)
     direct = is_castelnuovo_direct(p)
     tri = pulling_triangulation(p)

@@ -27,14 +27,13 @@ the beneath-beyond hull of P. Three rules decide the rest:
   the least sigma_G(x) / s_G over the facets with s_G > 0: the ray from q
   through x leaves the cell through G. Ratios are compared by
   cross-multiplication, and a tie puts x in every cone that attains it.
-* Leaf cones. A cell with n + 1 facets is a simplex, and pulling one of its
-  own vertices would rebuild it, so it holds no point that is one of its
-  vertices. A cone over a facet with n vertices is such a simplex; when it
-  holds no point but those vertices it is a maximal simplex at once, and
-  its facets are never built.
+* Leaf cones. A cone over a facet G with n vertices is a simplex, and
+  pulling one of its own vertices would rebuild it, so G's vertices leave
+  its points when it is formed. A simplex cone with no point left is a
+  maximal simplex at once, and its facets are never built.
 
-A cell with no point left to pull is a simplex of the triangulation, whose
-vertices are those of its facets.
+This is the only rule that closes a cell: every cell on the stack holds a
+point and pulls the first one.
 """
 
 from __future__ import annotations
@@ -66,13 +65,6 @@ class Triangulation:
     maximal_simplices: tuple[tuple[int, ...], ...]
     volumes: tuple[int, ...]
 
-    def simplex_points(self, simplex):
-        return tuple(self.points[i] for i in simplex)
-
-    def simplex_volume(self, simplex) -> int:
-        """Normalized volume of one maximal simplex."""
-        return _volume(self.simplex_points(simplex))
-
 
 @dataclass(frozen=True)
 class HVector:
@@ -98,13 +90,8 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     cells = []
     while stack:
         facets, held = stack.pop()
-        corners = frozenset().union(*(on for _, _, on in facets))
-        if len(facets) == n + 1:
-            # a simplex: pulling one of its own vertices rebuilds it
-            held = [x for x in held if x[0] not in corners]
         if not held:
-            cells.append(tuple(sorted(corners)))
-            continue
+            raise InvariantViolation("pulling popped a cell with no point to pull")
         (iq, s), later = held[0], held[1:]
         up = [g for g, sg in enumerate(s) if sg > 0]
         inside = {g: [] for g in up}
@@ -125,10 +112,12 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
                 inside[g].append(x)
         for g in up:
             on = facets[g][2]
-            if len(on) == n and all(i in on for i, _ in inside[g]):
-                # a simplex cone holding none but its own vertices
-                cells.append(tuple(sorted(on | {iq})))
-                continue
+            if len(on) == n:
+                # a simplex cone: pulling one of its own vertices rebuilds it
+                inside[g] = [x for x in inside[g] if x[0] not in on]
+                if not inside[g]:
+                    cells.append(tuple(sorted(on | {iq})))
+                    continue
             pencils = list(_ridge_pencils(facets, s, g, range(len(facets)), iq))
             cone = [facets[g], *(f for _, _, f in pencils)]
             # the pencil facet's slack is (s_G sigma_H - s_H sigma_G) / d

@@ -252,6 +252,18 @@ def test_corpus_cli_deterministic_and_clean(capsys):
     assert "all audits passed" in first
 
 
+def test_corpus_text_reports_skips(capsys):
+    args = ["corpus", "--dim", "3", "--coord-bound", "2", "--count", "5", "--seed", "1", "--budget", "5"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "all audits passed" not in out
+    assert out.endswith(
+        "5 of 5 polytopes skipped: a dilate scan needed more than the budget of 5 fibers\n"
+    )
+    assert main([*args, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["total_skipped"] == 5
+
+
 def test_corpus_json_is_parseable(capsys):
     assert main(["corpus", "--dim", "2", "--coord-bound", "2", "--count", "10", "--seed", "2", "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)

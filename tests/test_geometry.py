@@ -17,8 +17,8 @@ from castelpoly.errors import (
     NotFullDimensional,
 )
 from castelpoly.exact_linalg import det
-from castelpoly.geometry import Polytope, build_polytope
-from castelpoly.registry import standard_simplex_vertices
+from castelpoly.geometry import Polytope, _primitive, build_polytope
+from castelpoly.registry import reflexive_simplex_vertices, standard_simplex_vertices
 
 from conftest import (
     affine_dimension,
@@ -305,8 +305,26 @@ def test_edges_against_face_oracle():
         assert got == brute_force_edges(p)
 
 
+def edge_smooth(p):
+    """Oracle: P is simple, and the primitive edge directions at every vertex
+    form a lattice basis (determinant +-1)."""
+    incident = {v: [] for v in p.vertices}
+    for u, v in p.edges():
+        incident[u].append(v)
+        incident[v].append(u)
+    for v, nbrs in incident.items():
+        if len(nbrs) != p.dim:
+            return False
+        dirs = [_primitive(tuple(a - b for a, b in zip(w, v)))[0] for w in nbrs]
+        if abs(det(dirs)) != 1:
+            return False
+    return True
+
+
 # the triangle's vertex (0, 1) sees primitive directions (0, -1) and (2, -1),
-# of determinant 2; the pyramid's apex lies on four edges in dimension 3
+# of determinant 2; the pyramid's apex lies on four edges in dimension 3; the
+# reflexive 3-simplex is simple, but the facet normals at each vertex have
+# determinant 16
 @pytest.mark.parametrize(
     "points, smooth",
     [
@@ -317,11 +335,30 @@ def test_edges_against_face_oracle():
         ([(0,), (3,)], True),
         (SQUARE_PYRAMID, False),
         (list(itertools.product((0, 1), repeat=6)), True),
+        ([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)], True),
+        (list(itertools.product((0, 2), repeat=2)), True),
+        ([(0, 0), (3, 0), (0, 3)], True),
+        (reflexive_simplex_vertices(), False),
     ],
-    ids=["4-simplex", "3-cube", "triangle", "segment-1", "segment-3", "square-pyramid", "6-cube"],
+    ids=[
+        "4-simplex", "3-cube", "triangle", "segment-1", "segment-3", "square-pyramid",
+        "6-cube", "hexagon", "2x-square", "3x-triangle", "reflexive-3-simplex",
+    ],
 )
 def test_is_smooth(points, smooth):
-    assert build_polytope(points).is_smooth() is smooth
+    p = build_polytope(points)
+    assert p.is_smooth() is smooth
+    assert edge_smooth(p) is smooth
+
+
+@settings(max_examples=300, deadline=None)
+@given(cloud=st.one_of(hull_clouds(), oracle_clouds))
+def test_is_smooth_matches_edge_oracle(cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    assert p.is_smooth() is edge_smooth(p)
 
 
 def membership_oracle(p, x, k):

@@ -46,17 +46,19 @@ def test_report_takes_one_det_per_simplex(monkeypatch, vertices):
     assert len(calls) == len(pulling_triangulation(p).maximal_simplices)
 
 
-# Count scans of the dilates that hstar, degree and the audit's Ehrhart
-# round trip read, and collecting scans of the dilates that the spanning and
-# IDP checks read; no dilate is scanned twice in the same mode, and a
-# collecting scan also serves the counts of its dilate.
+# Collecting scans of the dilates that the spanning, IDP and pulling steps
+# read, and count scans of the other dilates that hstar, degree and the
+# audit's Ehrhart round trip read; no dilate is scanned twice in the same
+# mode, and a collecting scan also serves the counts of its dilate. The
+# report runs IDP before hstar and the audit pulls before it counts, so
+# each collects first.
 @pytest.mark.parametrize(
     "vertices, run, scans",
     [
-        (nonspanning_dim4_vertices(), build_report, 6),
-        (nonspanning_dim4_vertices(), audit_polytope, 9),
-        (family_vertices(1), build_report, 5),
-        (family_vertices(1), audit_polytope, 7),
+        (nonspanning_dim4_vertices(), build_report, 4),
+        (nonspanning_dim4_vertices(), audit_polytope, 8),
+        (family_vertices(1), build_report, 3),
+        (family_vertices(1), audit_polytope, 6),
         (family_vertices(1), lambda p: (p.lattice_points(3), p.lattice_count(3)), 1),
     ],
 )
@@ -72,6 +74,8 @@ def test_scans_per_analysis(monkeypatch, vertices, run, scans):
     run(build_polytope(vertices))
     assert len(calls) == scans
     assert len(set(calls)) == len(calls)
+    if run is build_report:
+        assert len({k for k, _ in calls}) == len(calls)
 
 
 def test_budget_is_fixed_per_polytope():
@@ -92,3 +96,8 @@ def test_memo_keys_fill_in_defaults():
     p = build_polytope(family_vertices(1))
     assert idp_check(p) is idp_check(p, None) is idp_check(p, kmax=None)
 
+
+def test_idp_memo_keys_on_the_resolved_depth():
+    p = build_polytope(nonspanning_dim4_vertices())
+    assert idp_check(p) is idp_check(p, max(2, p.dim - 1))
+    assert idp_check(p, 2) is not idp_check(p, 5)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from castelpoly.ehrhart import hstar, normalized_volume
 from castelpoly.errors import NotFullDimensional
+from castelpoly.exact_linalg import det
 import castelpoly.triangulation as triangulation
 from castelpoly.geometry import _dot, _ridge_pencils, build_polytope
 from castelpoly.triangulation import (
@@ -29,6 +30,15 @@ from conftest import (
 )
 
 
+def recomputed_volumes(t):
+    """|det| of the edge vectors of each maximal simplex, from ``t.points``."""
+    out = []
+    for s in t.maximal_simplices:
+        base = t.points[s[0]]
+        out.append(abs(det([tuple(x - b for x, b in zip(t.points[i], base)) for i in s[1:]])))
+    return tuple(out)
+
+
 def test_simplex_is_its_own_triangulation():
     t = pulling_triangulation(standard_simplex(3))
     assert len(t.maximal_simplices) == 1
@@ -39,14 +49,16 @@ def test_simplex_is_its_own_triangulation():
 def test_square_splits_into_two_triangles():
     t = pulling_triangulation(unit_square())
     assert len(t.maximal_simplices) == 2
-    assert sum(t.simplex_volume(s) for s in t.maximal_simplices) == 2
+    assert recomputed_volumes(t) == t.volumes
+    assert sum(t.volumes) == 2
     assert is_unimodular(t)
 
 
 def test_cube_triangulation_unimodular_volume_six():
     p = unit_cube(3)
     t = pulling_triangulation(p)
-    assert sum(t.simplex_volume(s) for s in t.maximal_simplices) == 6
+    assert recomputed_volumes(t) == t.volumes
+    assert sum(t.volumes) == 6
     assert is_unimodular(t)
 
 
@@ -105,7 +117,8 @@ def test_volume_partition():
     ):
         p = maker()
         t = pulling_triangulation(p)
-        assert sum(t.simplex_volume(s) for s in t.maximal_simplices) == normalized_volume(p)
+        assert recomputed_volumes(t) == t.volumes
+        assert sum(t.volumes) == normalized_volume(p)
 
 
 def test_betke_mcmullen_positive_cases():
