@@ -5,6 +5,7 @@ lines; the whole battery (including the 525-polytope corpus) completes in
 well under two minutes on a laptop-class machine.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 import castelpoly
 from castelpoly.classification import (
+    STATUS_CERTIFIED,
     STATUS_COUNTEREXAMPLE,
     idp_check,
     is_castelnuovo,
@@ -104,6 +106,17 @@ def test_family_a3_under_default_budget():
     assert details["a=3 degree"] == "a=3 degree: got 4"
     assert details["a=3 idp witness"] == "a=3 idp witness: got (4, (1, 1, 1, 1, 1, 1, 1))"
     print(f"family a=3 registry checks in {elapsed:.2f}s")
+
+
+def test_unit_6_cube_is_idp():
+    # the default depth max(2, n - 1) = 5 reaches 5P, whose 6^6 = 46,656
+    # points each need one decomposition
+    start = time.perf_counter()
+    verdict = idp_check(build_polytope(list(itertools.product((0, 1), repeat=6))))
+    elapsed = time.perf_counter() - start
+    assert verdict.status == STATUS_CERTIFIED
+    assert verdict.kmax_checked == 5
+    print(f"unit 6-cube certified IDP up to k = 5 in {elapsed:.2f}s")
 
 
 def test_criterion_3_route_agreement(corpus):

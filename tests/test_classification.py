@@ -1,6 +1,10 @@
+from contextlib import nullcontext
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
+import castelpoly.classification as classification
 from castelpoly.classification import (
     ROUTE_DIRECT,
     ROUTE_HSTAR,
@@ -8,6 +12,8 @@ from castelpoly.classification import (
     STATUS_CERTIFIED,
     STATUS_COUNTEREXAMPLE,
     STATUS_PARTIAL,
+    IdpVerdict,
+    _int64_keys,
     audit_bounds,
     audit_castelnuovo_implies_idp,
     audit_degree_two_idp,
@@ -23,6 +29,7 @@ from castelpoly.ehrhart import HStarVector, hstar
 from castelpoly.errors import NotFullDimensional
 from castelpoly.exact_linalg import IntMatrix, snf
 from castelpoly.geometry import build_polytope
+from castelpoly.registry import family_vertices, square_2x2_vertices
 
 from conftest import (
     nonspanning_dim4,
@@ -119,6 +126,77 @@ def test_idp_witness_reverifies():
     prev = p.lattice_points(k - 1)
     sums = {tuple(a + b for a, b in zip(x, y)) for x in prev for y in ground}
     assert w not in sums
+
+
+def sumset_idp(p, k_top):
+    """Oracle: :func:`idp_check` to depth ``k_top`` by building the whole
+    sumset (k-1)P + P and taking the smallest point of kP outside it."""
+    ground = p.lattice_points(1)
+    prev = ground
+    for k in range(2, k_top + 1):
+        target = p.lattice_points(k)
+        sumset = {tuple(a + b for a, b in zip(x, y)) for x in prev for y in ground}
+        missing = target - sumset
+        if missing:
+            return IdpVerdict(STATUS_COUNTEREXAMPLE, kmax_checked=k, witness=(k, min(missing)))
+        prev = target
+    status = STATUS_CERTIFIED if k_top >= max(2, p.dim - 1) else STATUS_PARTIAL
+    return IdpVerdict(status, kmax_checked=k_top)
+
+
+def force_python_int_keys():
+    """Run every IDP lookup on Python ints, as beyond the int64 key bound."""
+    return mock.patch.object(classification, "_int64_keys", lambda widths: False)
+
+
+def assert_idp_matches_oracle(p):
+    for kmax in (None, 2):
+        expected = sumset_idp(p, max(2, p.dim - 1) if kmax is None else kmax)
+        assert idp_check(p, kmax) == expected
+
+
+@pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])
+@settings(max_examples=100, deadline=None)
+@given(cloud=oracle_clouds)
+def test_idp_matches_sumset_oracle(python_ints, cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    with force_python_int_keys() if python_ints else nullcontext():
+        assert_idp_matches_oracle(p)
+
+
+# a non-IDP 3-simplex: 2P holds (1, 1, 1), which is no sum of two of its
+# four vertices, its only lattice points
+EMPTY_SIMPLEX_3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]
+# the pyramid over it: the witness (1, 1, 1, 2) lies on the top of 2P's box
+EMPTY_PYRAMID_4 = [(0, 0, 0, 0)] + [v + (1,) for v in EMPTY_SIMPLEX_3]
+
+
+@pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])
+@pytest.mark.parametrize(
+    "points",
+    [EMPTY_SIMPLEX_3, EMPTY_PYRAMID_4, family_vertices(1), square_2x2_vertices()],
+    ids=["empty-simplex-3", "empty-pyramid-4", "family-a1", "square-2x2"],
+)
+def test_idp_matches_sumset_oracle_on_fixed_cases(python_ints, points):
+    with force_python_int_keys() if python_ints else nullcontext():
+        assert_idp_matches_oracle(build_polytope(points))
+
+
+def test_idp_beyond_int64_is_exact():
+    # shifted by 2^70, the points stay exact and the witness moves with them
+    shift = (2**70, -(2**66), 5)
+    p = build_polytope([tuple(x + s for x, s in zip(v, shift)) for v in EMPTY_SIMPLEX_3])
+    assert_idp_matches_oracle(p)
+    assert idp_check(p).witness == (2, tuple(1 + 2 * s for s in shift))
+    # sheared by x += 2^60 z, the box of 2P - P has more than 2^63 cells, so
+    # the keys run on Python ints
+    q = build_polytope([(x + 2**60 * z, y, z) for x, y, z in EMPTY_SIMPLEX_3])
+    assert not _int64_keys([3 * w + 1 for w in (2**61 + 1, 1, 2)])
+    assert_idp_matches_oracle(q)
+    assert idp_check(q).witness == (2, (1 + 2**60, 1, 1))
 
 
 def test_idp_partial_status():

@@ -186,6 +186,16 @@ def test_idp_exit_codes(tmp_path, capsys):
     assert main(["idp", bad]) == 1
 
 
+def test_idp_exit_zero_below_cutoff_is_no_certificate(tmp_path, capsys):
+    # exit 0 means no counterexample up to the depth checked: this 3-simplex
+    # is not IDP (2P holds (1, 1, 1)), but --kmax 1 checks no dilate
+    simplex = write(tmp_path, "simplex.txt", "0 0 0\n1 0 0\n0 1 0\n1 1 2\n")
+    assert main(["idp", simplex, "--kmax", "1"]) == 0
+    assert capsys.readouterr().out == "simplex: checked-up-to-kmax (k <= 1)\n"
+    assert main(["idp", simplex]) == 2
+    assert "(1, 1, 1) is in 2P" in capsys.readouterr().out
+
+
 def test_examples_all_pass():
     for name in REGISTRY_KEYS:
         checks = run_example(name)
