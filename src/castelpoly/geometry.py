@@ -82,9 +82,7 @@ def _dot(a, b):
 
 
 def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     return tuple(x // g for x in vec), g
 
 

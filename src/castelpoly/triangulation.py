@@ -34,6 +34,17 @@ the beneath-beyond hull of P. Three rules decide the rest:
 
 This is the only rule that closes a cell: every cell on the stack holds a
 point and pulls the first one.
+
+The work around the pulling loop has no dependency from one item to the
+next and runs as one array pass each: the root slacks are one matrix
+product, the volumes of all maximal simplices one batched fraction-free
+Bareiss elimination (Bareiss, Math. Comp. 22, 1968), and the faces of each
+size in :func:`h_vector` one count of distinct integer keys. Each pass is
+int64 numpy when a bound rules out overflow and Python ints otherwise:
+
+* slacks: max over the facets of |b| + max|x_i| * sum |a_i| <= 2^63 - 1;
+* volumes: 2 n^n W^(2n) <= 2^63 - 1, W the widest side of the points' box;
+* face keys: m^(n+1) <= 2^63 - 1, m the number of points.
 """
 
 from __future__ import annotations
@@ -42,16 +53,64 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .ehrhart import hstar, normalized_volume
 from .errors import InvariantViolation
-from .exact_linalg import det
-from .geometry import LatticePoint, Polytope, _dot, _ridge_pencils, memo
+from .geometry import _INT64_MAX, LatticePoint, Polytope, _ridge_pencils, memo
 
 
-def _volume(vertices) -> int:
-    """Normalized volume |det of edge vectors| of a simplex."""
-    base = vertices[0]
-    return abs(det([tuple(x - b for x, b in zip(q, base)) for q in vertices[1:]]))
+def _volumes(points, simplices, n) -> tuple[int, ...]:
+    """Normalized volumes |det| of the edge matrices of the n-simplices
+    ``simplices`` (tuples of n+1 indices into ``points``), by one
+    fraction-free Bareiss elimination over all of them at once.
+
+    Each matrix swaps in its own pivot row. Every intermediate is a minor of
+    an edge matrix, so with W the widest side of the points' box it is at
+    most H = (sqrt(n) W)^n by Hadamard's inequality, and a numerator at most
+    2 H^2. The arithmetic is int64 when 2 n^n W^(2n) <= 2^63 - 1 and Python
+    ints otherwise. Raises :class:`InvariantViolation` on a degenerate
+    simplex or an inexact division.
+    """
+    pts = np.array(points, dtype=object)
+    lo = pts.min(axis=0)
+    width = max(pts.max(axis=0) - lo)
+    dtype = np.int64 if 2 * n**n * width ** (2 * n) <= _INT64_MAX else object
+    pts = (pts - lo).astype(dtype)
+    idx = np.array(simplices, dtype=np.intp).reshape(-1, n + 1)
+    a = pts[idx[:, 1:]] - pts[idx[:, :1]]
+    prev = 1
+    for k in range(n - 1):
+        nonzero = a[:, k:, k] != 0
+        if not nonzero.any(axis=1).all():
+            raise InvariantViolation("a simplex of the triangulation is degenerate")
+        pivot_row = k + nonzero.argmax(axis=1)
+        swap = np.flatnonzero(pivot_row != k)
+        a[swap, k], a[swap, pivot_row[swap]] = a[swap, pivot_row[swap]], a[swap, k]
+        pivot = a[:, k, k][:, None, None]
+        num = a[:, k + 1 :, k + 1 :] * pivot - a[:, k + 1 :, k : k + 1] * a[:, k : k + 1, k + 1 :]
+        if (num % prev).any():
+            raise InvariantViolation("Bareiss division was not exact")
+        a[:, k + 1 :, k + 1 :] = num // prev
+        prev = pivot
+    last = a[:, n - 1, n - 1]
+    if (last == 0).any():
+        raise InvariantViolation("a simplex of the triangulation is degenerate")
+    return tuple(np.abs(last).tolist())
+
+
+def _root_slacks(p: Polytope, points) -> list[list[int]]:
+    """Slacks b - a.x of every point against every facet of P, in one matrix
+    product. Each partial sum of a.x is at most max|x_i| * sum |a_i|, so the
+    product is int64 when |b| plus that bound is at most 2^63 - 1 for every
+    facet, and Python ints otherwise."""
+    # |x_i| is convex, so its largest value over P is taken at a vertex
+    reach = max(abs(c) for v in p.vertices for c in v)
+    bound = max(abs(f.offset) + reach * sum(map(abs, f.normal)) for f in p.facets)
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    normals = np.array([f.normal for f in p.facets], dtype=dtype)
+    offsets = np.array([f.offset for f in p.facets], dtype=dtype)
+    return (offsets - np.array(points, dtype=dtype) @ normals.T).tolist()
 
 
 @dataclass(frozen=True)
@@ -85,7 +144,7 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     # and its later points: (index, slacks b - a.x against those facets)
     corner = [index[v] for v in p.vertices]
     root = [(f.normal, f.offset, frozenset(corner[i] for i in f.vertices)) for f in p.facets]
-    held = [(i, tuple(b - _dot(a, x) for a, b, _ in root)) for i, x in enumerate(points)]
+    held = [(i, tuple(s)) for i, s in enumerate(_root_slacks(p, points))]
     stack = [(root, held)]
     cells = []
     while stack:
@@ -132,7 +191,7 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     if len(set(cells)) != len(cells):
         raise InvariantViolation("pulling produced duplicate cells")
     simplices = tuple(sorted(cells))
-    volumes = tuple(_volume([points[i] for i in s]) for s in simplices)
+    volumes = _volumes(points, simplices, n)
     if sum(volumes) != normalized_volume(p):
         raise InvariantViolation(
             "triangulation volumes do not add up to the normalized volume"
@@ -141,16 +200,26 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
 
 
 def h_vector(t: Triangulation) -> HVector:
-    """f-vector by face closure and h-vector by the coefficient identity
-    sum_i f_{i-1} (x-1)^{d-i} = sum_i h_i x^{d-i} with d = dim + 1."""
+    """f-vector by face keys and h-vector by the coefficient identity
+    sum_i f_{i-1} (x-1)^{d-i} = sum_i h_i x^{d-i} with d = dim + 1.
+
+    The r-subsets of the sorted maximal simplices are the faces with r
+    vertices; the subset idx_0 < ... < idx_{r-1} of indices into m points
+    gets the key sum_j idx_j m^j, and f_{r-1} is the number of distinct
+    keys, counted in one sort. Keys are below m^d, so they are int64 when
+    m^d <= 2^63 - 1 and Python ints otherwise.
+    """
     d = t.dim + 1
-    faces: set[tuple[int, ...]] = set()
-    for simplex in t.maximal_simplices:
-        for r in range(1, d + 1):
-            faces.update(itertools.combinations(simplex, r))
-    f = [1] + [0] * d  # f[i] = number of faces with i vertices; f[0] is the empty face
-    for face in faces:
-        f[len(face)] += 1
+    m = len(t.points)
+    dtype = np.int64 if m**d <= _INT64_MAX else object
+    simplices = np.array(t.maximal_simplices, dtype=dtype).reshape(-1, d)
+    weights = np.array([m**j for j in range(d)], dtype=dtype)
+    f = [1]  # f[i] = number of faces with i vertices; f[0] is the empty face
+    for r in range(1, d + 1):
+        subsets = simplices[:, list(itertools.combinations(range(d), r))]
+        keys = np.sort(subsets @ weights[:r], axis=None)
+        # each distinct key starts a run of equal keys in sorted order
+        f.append(int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1])))
     h = tuple(
         sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
         for k in range(d + 1)

@@ -32,18 +32,18 @@ def test_report_runs_one_snf(monkeypatch):
 
 
 @pytest.mark.parametrize("vertices", [nonspanning_dim4_vertices(), family_vertices(2)])
-def test_report_takes_one_det_per_simplex(monkeypatch, vertices):
+def test_report_runs_one_volume_pass(monkeypatch, vertices):
     calls = []
-    real = triangulation.det
+    real = triangulation._volumes
 
-    def counting(matrix):
-        calls.append(matrix)
-        return real(matrix)
+    def counting(points, simplices, n):
+        calls.append(len(simplices))
+        return real(points, simplices, n)
 
-    monkeypatch.setattr(triangulation, "det", counting)
+    monkeypatch.setattr(triangulation, "_volumes", counting)
     p = build_polytope(vertices)
     build_report(p, name="p")
-    assert len(calls) == len(pulling_triangulation(p).maximal_simplices)
+    assert calls == [len(pulling_triangulation(p).maximal_simplices)]
 
 
 # Collecting scans of the dilates that the spanning, IDP and pulling steps

@@ -1,15 +1,20 @@
 import itertools
+from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from castelpoly.ehrhart import hstar, normalized_volume
-from castelpoly.errors import NotFullDimensional
+from castelpoly.errors import InvariantViolation, NotFullDimensional
 from castelpoly.exact_linalg import det
 import castelpoly.triangulation as triangulation
-from castelpoly.geometry import _dot, _ridge_pencils, build_polytope
+from castelpoly.geometry import _INT64_MAX, _dot, _ridge_pencils, build_polytope
 from castelpoly.triangulation import (
-    _volume,
+    HVector,
+    Triangulation,
+    _volumes,
     betke_mcmullen_check,
     h_vector,
     is_unimodular,
@@ -30,13 +35,37 @@ from conftest import (
 )
 
 
+# the bound of every int64 path, and a value that sends them all to Python ints
+BACKENDS = pytest.mark.parametrize("bound", [_INT64_MAX, 0], ids=["int64", "object"])
+
+
+def volume_oracle(vertices):
+    """Oracle: normalized volume |det of edge vectors| of one simplex."""
+    base = vertices[0]
+    return abs(det([tuple(x - b for x, b in zip(q, base)) for q in vertices[1:]]))
+
+
 def recomputed_volumes(t):
-    """|det| of the edge vectors of each maximal simplex, from ``t.points``."""
-    out = []
-    for s in t.maximal_simplices:
-        base = t.points[s[0]]
-        out.append(abs(det([tuple(x - b for x, b in zip(t.points[i], base)) for i in s[1:]])))
-    return tuple(out)
+    """The oracle volume of each maximal simplex, from ``t.points``."""
+    return tuple(volume_oracle([t.points[i] for i in s]) for s in t.maximal_simplices)
+
+
+def h_vector_oracle(t):
+    """Oracle: the f-vector by closing the maximal simplices under taking
+    faces, in one set of index tuples, and the h-vector from it."""
+    d = t.dim + 1
+    faces = set()
+    for simplex in t.maximal_simplices:
+        for r in range(1, d + 1):
+            faces.update(itertools.combinations(simplex, r))
+    f = [1] + [0] * d
+    for face in faces:
+        f[len(face)] += 1
+    h = tuple(
+        sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
+        for k in range(d + 1)
+    )
+    return HVector(f=tuple(f), h=h)
 
 
 def test_simplex_is_its_own_triangulation():
@@ -230,7 +259,7 @@ def cone_oracle(p):
             inside = [i for i in later if all(_dot(a, points[i]) <= b for a, b, _ in cone)]
             stack.append((cone, inside))
     simplices = tuple(sorted(cells))
-    return points, simplices, tuple(_volume([points[i] for i in s]) for s in simplices)
+    return points, simplices, tuple(volume_oracle([points[i] for i in s]) for s in simplices)
 
 
 def dilated_triangle():
@@ -300,3 +329,111 @@ def test_inherited_slacks_are_the_facet_slacks(monkeypatch, maker):
     t = triangulation.pulling_triangulation(p)
     assert set(pulled) - {0}, "no cell below the root was pulled"
     assert sum(t.volumes) == normalized_volume(p)
+
+
+@st.composite
+def simplex_batches(draw):
+    """(n, points, simplices): a few n-simplices on small points, n = 1..5,
+    degenerate ones included. Small coordinates often put a zero on the
+    diagonal, so elimination has to swap rows."""
+    n = draw(st.integers(1, 5))
+    points = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n + 1, max_size=n + 5, unique=True)
+    )
+    simplex = st.permutations(range(len(points))).map(lambda s: tuple(sorted(s[: n + 1])))
+    return n, points, draw(st.lists(simplex, min_size=1, max_size=4))
+
+
+@BACKENDS
+@settings(max_examples=200, deadline=None)
+@given(batch=simplex_batches())
+def test_volumes_match_oracle(bound, batch):
+    n, points, simplices = batch
+    expected = tuple(volume_oracle([points[i] for i in s]) for s in simplices)
+    with patch.object(triangulation, "_INT64_MAX", bound):
+        if 0 in expected:
+            with pytest.raises(InvariantViolation, match="degenerate"):
+                _volumes(points, simplices, n)
+        else:
+            assert _volumes(points, simplices, n) == expected
+
+
+def test_volumes_beyond_int64():
+    # edges of about 2^40 in dimension 4: the volumes need about 160 bits
+    e = 2**40
+    points = [
+        (0, 0, 0, 0),
+        (e + 3, 5, -7, 1),
+        (11, e - 5, 13, 2),
+        (-17, 19, e + 1, 23),
+        (29, 31, 37, e - 7),
+        (3, -e, 2, 1),
+    ]
+    simplices = [(0, 1, 2, 3, 4), (1, 2, 3, 4, 5)]
+    expected = tuple(volume_oracle([points[i] for i in s]) for s in simplices)
+    assert min(expected) > _INT64_MAX
+    assert _volumes(points, simplices, 4) == expected
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)],
+    ],
+    ids=["collinear", "zero-pivot-column"],
+)
+def test_degenerate_simplex_raises(points):
+    n = len(points[0])
+    with pytest.raises(InvariantViolation, match="degenerate"):
+        _volumes(points, [tuple(range(n + 1))], n)
+
+
+@BACKENDS
+@settings(max_examples=100, deadline=None)
+@given(cloud=hull_clouds())
+def test_backends_pull_the_same_triangulation(bound, cloud):
+    # the root slacks and the volumes on either backend; each polytope is
+    # built afresh because the triangulation is memoized on it
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    with patch.object(triangulation, "_INT64_MAX", bound):
+        t = pulling_triangulation(p)
+    assert t == pulling_triangulation(build_polytope(cloud))
+    assert t.volumes == recomputed_volumes(t)
+
+
+@BACKENDS
+@settings(max_examples=100, deadline=None)
+@given(cloud=hull_clouds())
+def test_h_vector_matches_face_closure(bound, cloud):
+    try:
+        t = pulling_triangulation(build_polytope(cloud))
+    except NotFullDimensional:
+        return
+    with patch.object(triangulation, "_INT64_MAX", bound):
+        assert h_vector(t) == h_vector_oracle(t)
+
+
+def test_h_vector_keys_beyond_int64():
+    # m = 2048 points in dimension 5: m^6 = 2^66, so face keys are Python
+    # ints; the first two simplices' keys are 2^64 apart and would meet in
+    # int64
+    m = 2048
+    t = Triangulation(
+        dim=5,
+        points=tuple((i, 0, 0, 0, 0) for i in range(m)),
+        maximal_simplices=((0, 1, 2, 3, 4, 1000), (0, 1, 2, 3, 4, 1512), (1, 2, 3, 4, 5, m - 1)),
+        volumes=(1, 1, 1),
+    )
+    assert m**6 > _INT64_MAX
+    hv = h_vector(t)
+    assert hv.f[6] == 3
+    assert hv == h_vector_oracle(t)
+
+
+def test_h_vector_of_no_simplices():
+    t = Triangulation(dim=2, points=((0, 0), (1, 0), (0, 1)), maximal_simplices=(), volumes=())
+    assert h_vector(t) == h_vector_oracle(t) == HVector(f=(1, 0, 0, 0), h=(1, -3, 3, -1))
