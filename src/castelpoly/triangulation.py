@@ -6,23 +6,25 @@ over the cell's facets that miss the point. Pulling every point guarantees
 the final cells are simplices and every lattice point is used as a vertex,
 which is what the unimodularity criterion needs.
 
-A cell is its list of facets a.x <= b, each with the indices of the cell's
-vertices on it; P with its stored facets is the first cell. Each cell carries
-the later lattice points, in pull order, that lie in it, each with its slacks
-sigma = b - a.x against the cell's facets, and pulls the first of them, q,
-whose slacks are s. The cone q * G over a facet G with s_G > 0 has the facet
-G and, for every other facet H that meets G in a ridge, the member
+A facet cell is its list of facets a.x <= b, each with the indices of the
+cell's vertices on it; P with its stored facets is the first cell. Each cell
+carries the later lattice points, in pull order, that lie in it, and pulls
+the first of them, q. In a facet cell each point carries its slacks
+sigma = b - a.x against the cell's facets, and q's slacks are s. The cone
+q * G over a facet G with s_G > 0 has the facet G and, for every other facet
+H that meets G in a ridge, the member
 (s_G a_H - s_H a_G).x <= s_G b_H - s_H b_G of the pencil of hyperplanes
 through G & H that passes through q, divided by the gcd d of its normal,
 with vertices (G & H) + {q}. Two facets meet in a ridge when no third facet
 holds all their common vertices; in dimension 1 the two end points meet in
 the empty ridge. So the facets of every cell follow from its parent's
 without a hull search, by the same step (:func:`geometry._ridge_pencils`) as
-the beneath-beyond hull of P. Three rules decide the rest:
+the beneath-beyond hull of P. Four rules decide the rest:
 
-* Inherited slacks. Only P's facets are evaluated at points. A point's
-  slacks in the cone q * G are sigma_G and, for the pencil facet of H,
-  (s_G sigma_H - s_H sigma_G) / d, an exact division.
+* Inherited slacks. Only P's facets are evaluated at points, and, when a
+  simplex cell is formed, each of its facets at the opposite vertex. A
+  point's slacks in the cone q * G are sigma_G and, for the pencil facet of
+  H, (s_G sigma_H - s_H sigma_G) / d, an exact division.
 * Ray exit. A later point x lies in the cone q * G exactly when G attains
   the least sigma_G(x) / s_G over the facets with s_G > 0: the ray from q
   through x leaves the cell through G. Ratios are compared by
@@ -31,9 +33,22 @@ the beneath-beyond hull of P. Three rules decide the rest:
   pulling one of its own vertices would rebuild it, so G's vertices leave
   its points when it is formed. A simplex cone with no point left is a
   maximal simplex at once, and its facets are never built.
+* Simplex cells. A simplex cone that keeps points drops its facets. With
+  vertices v_0..v_n and normalized volume V, each point x carries its volume
+  coordinates beta_j(x) = V lambda_j(x), lambda the barycentric coordinates:
+  by Cramer's rule the determinant with v_j replaced by x, an integer, and
+  the beta_j add up to V. When the cone is formed, beta_j = sigma_j V / h_j,
+  with h_j the slack of v_j against the facet opposite it. Since
+  sigma_j = h_j lambda_j, the ray exit compares beta_i(x) / beta_i(q) over
+  the i with beta_i(q) > 0. Cone i replaces v_i by q, has volume beta_i(q),
+  and gives x the coordinates beta_i(x) and, for j != i,
+  (beta_i(q) beta_j(x) - beta_j(q) beta_i(x)) / V, an exact division;
+  every point's coordinates are checked to add up to the cone's volume. A
+  point is never a vertex of its simplex cell, so no filter is needed, and
+  a cone that gets no point is a maximal simplex.
 
-This is the only rule that closes a cell: every cell on the stack holds a
-point and pulls the first one.
+Empty simplex cones are the only cells that close: every cell on the stack
+holds a point and pulls the first one.
 
 The work around the pulling loop has no dependency from one item to the
 next and runs as one array pass each: the root slacks are one matrix
@@ -57,7 +72,8 @@ import numpy as np
 
 from .ehrhart import hstar, normalized_volume
 from .errors import InvariantViolation
-from .geometry import _INT64_MAX, LatticePoint, Polytope, _ridge_pencils, memo
+from .exact_linalg import det
+from .geometry import _INT64_MAX, LatticePoint, Polytope, _dot, _ridge_pencils, memo
 
 
 def _volumes(points, simplices, n) -> tuple[int, ...]:
@@ -133,6 +149,80 @@ class HVector:
     h: tuple[int, ...]
 
 
+def _exits(sigma, s, up):
+    """The facets g in ``up`` (those with s_g > 0) of least sigma_g / s_g,
+    compared by cross-multiplication: the facets through which the ray from
+    q, with slacks s, through a point with slacks sigma leaves the cell."""
+    exits = [up[0]]
+    for h in up[1:]:
+        g = exits[0]
+        c = sigma[h] * s[g] - sigma[g] * s[h]
+        if c < 0:
+            exits = [h]
+        elif c == 0:
+            exits.append(h)
+    return exits
+
+
+def _simplex_entry(points, on, iq, s_g, pencils, inherited):
+    """The simplex cone q * G over a facet G with n vertices ``on``, as
+    (vertices, volume V, points with their volume coordinates beta).
+
+    The cone's facets are G and the ``pencils`` through G's ridges, against
+    which the points have the ``inherited`` slacks sigma; its vertex j is
+    the one off its facet j: q for G, and for the pencil of H the vertex of
+    G off H. Then beta_j = sigma_j * (V / h_j), with h_j the slack of
+    vertex j.
+    """
+    if len(pencils) != len(on):
+        raise InvariantViolation("a simplex cone does not have a facet per ridge")
+    verts = [iq]
+    heights = [s_g]
+    for _, _, (normal, offset, ridge) in pencils:
+        (w,) = on - ridge
+        verts.append(w)
+        heights.append(offset - _dot(normal, points[w]))
+    q = points[iq]
+    vol = abs(det([tuple(x - y for x, y in zip(points[w], q)) for w in verts[1:]]))
+    if any(vol % h for h in heights):
+        raise InvariantViolation("a simplex cone's volume is not a multiple of its heights")
+    scale = [vol // h for h in heights]
+    held = []
+    for i, sigma in inherited:
+        beta = [x * c for x, c in zip(sigma, scale)]
+        if sum(beta) != vol:
+            raise InvariantViolation("volume coordinates do not add up to the cell's volume")
+        held.append((i, beta))
+    return tuple(verts), vol, held
+
+
+def _pull_simplex(verts, vol, held):
+    """Pull the first held point q of a simplex cell: the cones (vertices,
+    volume, points with their volume coordinates) over the facets that miss
+    q, i.e. one for each i with beta_i(q) > 0. Cone i replaces vertex i by q
+    and has volume beta_i(q)."""
+    (iq, bq), later = held[0], held[1:]
+    up = [i for i, b in enumerate(bq) if b > 0]
+    inside = {i: [] for i in up}
+    for x in later:
+        for i in _exits(x[1], bq, up):
+            inside[i].append(x)
+    cones = []
+    for i in up:
+        bi = bq[i]
+        pulled = []
+        for j, beta in inside[i]:
+            b = beta[i]
+            # Cramer's rule makes the division exact; the i-th term is 0
+            new = [(bi * y - z * b) // vol for y, z in zip(beta, bq)]
+            new[i] = b
+            if sum(new) != bi:
+                raise InvariantViolation("volume coordinates do not add up to the cell's volume")
+            pulled.append((j, new))
+        cones.append((verts[:i] + (iq,) + verts[i + 1 :], bi, pulled))
+    return cones
+
+
 @memo
 def pulling_triangulation(p: Polytope) -> Triangulation:
     """Deterministic pulling triangulation on all lattice points of P."""
@@ -140,12 +230,16 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     points = tuple(sorted(p.lattice_points(1)))
     index = {pt: i for i, pt in enumerate(points)}
 
-    # a cell's facets: (normal, offset, indices of the cell's vertices on it),
-    # and its later points: (index, slacks b - a.x against those facets)
+    # a facet cell's facets: (normal, offset, indices of the cell's vertices
+    # on it), and its later points: (index, slacks b - a.x against those
+    # facets)
     corner = [index[v] for v in p.vertices]
     root = [(f.normal, f.offset, frozenset(corner[i] for i in f.vertices)) for f in p.facets]
     held = [(i, tuple(s)) for i, s in enumerate(_root_slacks(p, points))]
     stack = [(root, held)]
+    # a simplex cell: (vertices, volume, later points with their volume
+    # coordinates)
+    simplex_cells = []
     cells = []
     while stack:
         facets, held = stack.pop()
@@ -155,19 +249,7 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
         up = [g for g, sg in enumerate(s) if sg > 0]
         inside = {g: [] for g in up}
         for x in later:
-            # the facets G of least sigma_G(x) / s_G, through which the ray
-            # from q through x leaves the cell, are those of the cones q * G
-            # that hold x
-            sigma = x[1]
-            exits = [up[0]]
-            for h in up[1:]:
-                g = exits[0]
-                c = sigma[h] * s[g] - sigma[g] * s[h]
-                if c < 0:
-                    exits = [h]
-                elif c == 0:
-                    exits.append(h)
-            for g in exits:
+            for g in _exits(x[1], s, up):
                 inside[g].append(x)
         for g in up:
             on = facets[g][2]
@@ -178,13 +260,21 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
                     cells.append(tuple(sorted(on | {iq})))
                     continue
             pencils = list(_ridge_pencils(facets, s, g, range(len(facets)), iq))
-            cone = [facets[g], *(f for _, _, f in pencils)]
             # the pencil facet's slack is (s_G sigma_H - s_H sigma_G) / d
             inherited = [
                 (i, (sigma[g], *((s[g] * sigma[h] - s[h] * sigma[g]) // d for h, d, _ in pencils)))
                 for i, sigma in inside[g]
             ]
-            stack.append((cone, inherited))
+            if len(on) == n:
+                simplex_cells.append(_simplex_entry(points, on, iq, s[g], pencils, inherited))
+            else:
+                stack.append(([facets[g], *(f for _, _, f in pencils)], inherited))
+    while simplex_cells:
+        for cone in _pull_simplex(*simplex_cells.pop()):
+            if cone[2]:
+                simplex_cells.append(cone)
+            else:
+                cells.append(tuple(sorted(cone[0])))
 
     if any(len(c) != n + 1 for c in cells):
         raise InvariantViolation("pulling left a non-simplex cell")
