@@ -112,6 +112,7 @@ def audit_polytope(p: Polytope) -> dict[str, str]:
         else:
             results["flat_interior_unimodular"] = "pass" if bm["unimodular"] else "anomaly"
 
+        p.count_dilates(range(1, 2 * p.dim + 1))
         roundtrip = all(
             ehrhart_eval(h, k) == p.lattice_count(k)
             for k in range(2 * p.dim + 1)

@@ -55,8 +55,10 @@ class EhrhartProfile:
 
 
 def ehrhart_profile(p: Polytope, kmax: int | None = None) -> EhrhartProfile:
-    """Count the first kmax dilates (default: the ambient dimension)."""
+    """Count the first kmax dilates (default: the ambient dimension), all but
+    P itself in one walk."""
     kmax = p.dim if kmax is None else kmax
+    p.count_dilates(range(1, kmax + 1))
     return EhrhartProfile(tuple(p.lattice_count(k) for k in range(kmax + 1)))
 
 

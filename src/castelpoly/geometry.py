@@ -3,34 +3,50 @@ dilate enumeration, edges, smoothness.
 
 A polytope is built from integer points only and must be full-dimensional in
 its ambient space. Its facets come from an integer beneath-beyond hull: a
-greedy starting simplex, then one point at a time, with each facet carrying
-the input points on it. The polytope's facets keep these sets, cut down to
-its vertices. A point set is a face's vertex set when it equals the meet of
-the facets through it (all points, when there are none): a point is a
-vertex when those facets meet in it alone, and two vertices span an edge
-when they meet in the pair. P is smooth when every vertex lies on exactly n
-facets and their normals form a lattice basis (Cox, Little and Schenck,
-Toric Varieties, section 2.4), which the same sets tell. The
-ridge-and-pencil step that adds the facets through a new point is shared
-with the pulling triangulation, which refines cells the same way.
+greedy starting simplex, then one point at a time, farthest from the
+simplex's centroid first, with each facet carrying the input points on it.
+The polytope's facets keep these sets, cut down to its vertices. A point set
+is a face's vertex set when it equals the meet of the facets through it (all
+points, when there are none): a point is a vertex when those facets meet in
+it alone, and two vertices span an edge when they meet in the pair. P is
+smooth when every vertex lies on exactly n facets and their normals form a
+lattice basis (Cox, Little and Schenck, Toric Varieties, section 2.4), which
+the same sets tell. The ridge-and-pencil step that adds the facets through a
+new point is shared with the pulling triangulation, which refines cells the
+same way, and with the projections of the dilate scans.
 
-Dilate scans go fiber by fiber. Along the widest axis j of the bounding box
-of kP, each line through an integer point x' of the box of the other
-coordinates meets kP in an integer interval of x_j. Each facet a.x <= k b
-bounds it by an exact floor division of the slack r = k b - a'.x' by a_j, and
-the bounds from r - 1 give the interior. The scan budget counts these fibers.
-The box of kP is k times the box of P, so the axis and everything else that
-does not depend on k is worked out once per polytope.
+Dilate scans walk a chain of coordinate projections P = P_n -> ... -> P_1,
+each dropping the widest remaining axis of P's box; the walk adds the axes
+back in the reverse order. It keeps rows (k, x'), x' a lattice point of
+kP_m, and extends each by the integer interval of the next coordinate c
+over x' in kP_{m+1}: each facet a.x <= k b of P_{m+1} bounds it by an exact
+floor division of the slack r = k b - a'.x' by a_c. The last level is P
+itself, along the widest axis, where the bounds from r - 1 also give the
+interior. The facets of P_m come from those of P_{m+1} by Fourier-Motzkin
+elimination without its redundant rows (Schrijver, Theory of Linear and
+Integer Programming, section 12.2): the facets with a_c = 0, and for each
+ridge of a facet with a_c > 0 and one with a_c < 0, the pencil member
+through it parallel to axis c. Each keeps the vertices of P that project
+into it, so the hull's ridge test holds at every level. The projections of
+kP are k times those of P, so the chain, and everything else that does not
+depend on k, is worked out once per polytope, and one walk serves all the
+dilates of a request, each row labelled with its k. P itself walks the box
+of the coordinates but the last: the chain with no projection level. The
+scan budget counts the fibers of that box, for every dilate.
 
 The arithmetic is int64 numpy when no intermediate can overflow, and Python
-ints otherwise, so results are exact on every path. Let B be the largest
-|k b| + sum over i != j of |a_i| * max |x_i| on the box. It bounds |r| and
-every partial sum of a'.x', so r - 1, the floor quotients and their
-negations stay within B + 1, and an interval length hi - lo + 1 within
-2B + 3. A non-empty interval holds points of kP only, so the lengths summed
-over one chunk of fibers are at most the chunk size times the box width
-along j; the collected x_j lie in the box. Int64 is used when these bounds
-are at most 2^63 - 1.
+ints otherwise, so results are exact on every path. Projected normals grow,
+so each level has its own bound: let B be the largest |b| + sum over the
+earlier coordinates i of |a_i| * max |x_i| over the level's facets, x
+ranging over P's box. Then kB bounds |r| and every partial sum of
+(k, x') . (b, -a'), so r - 1, the floor quotients and their negations stay
+within kB + 1, and an interval length within 2kB + 3. A non-empty interval
+lies in the box of kP, so its length is at most kW + 1, with W the widest
+side of P's box. The running sums of the lengths over a chunk of at most R
+rows, which place the new rows and sum the counts per k, are at most
+R(kW + 1), and a new coordinate, the first point of its interval plus its
+offset, stays within k max |x_i| + R(kW + 1). Int64 is used when these
+bounds are at most 2^63 - 1 at every level of the walk.
 """
 
 from __future__ import annotations
@@ -122,7 +138,7 @@ def _starting_simplex(points):
     return chosen
 
 
-def _ridge_pencils(facets, slack, g, others, apex):
+def _ridge_pencils(facets, slack, g, others, apex=None):
     """The hyperplanes through q and the ridges that the facet g shares with
     the facets in ``others``.
 
@@ -132,9 +148,12 @@ def _ridge_pencils(facets, slack, g, others, apex):
     dimension 1 the two end points meet in the empty ridge. For each such H,
     yields the member (s_g a_h - s_h a_g).x <= s_g b_h - s_h b_g of the
     pencil of hyperplanes through G & H that passes through q, made
-    primitive, with G on its inner side and the point set (G & H) + {apex},
-    where ``apex`` is the index of q. Each comes as (h, d, facet), where d is
-    the gcd that making the normal primitive divided out.
+    primitive, with G on its inner side and the point set G & H, plus
+    ``apex``, the index of q, when it is given. Each comes as (h, d, facet),
+    where d is the gcd that making the normal primitive divided out. The
+    slacks may also be those of a point at infinity, a direction u, with
+    s = -a.u: the pencil member is then the hyperplane through G & H
+    parallel to u.
     """
     a_g, b_g, on_g = facets[g]
     # a ridge spans n - 2 dimensions, so it holds at least n - 1 points
@@ -149,8 +168,27 @@ def _ridge_pencils(facets, slack, g, others, apex):
         normal, d = _primitive(
             tuple(slack[g] * x - slack[h] * y for x, y in zip(a_h, a_g))
         )
-        # q lies on the hyperplane, so d divides the offset
-        yield h, d, (normal, (slack[g] * b_h - slack[h] * b_g) // d, ridge | {apex})
+        # a lattice point on the hyperplane (q, or a point of the ridge)
+        # makes d divide the offset
+        yield h, d, (
+            normal,
+            (slack[g] * b_h - slack[h] * b_g) // d,
+            ridge if apex is None else ridge | {apex},
+        )
+
+
+def _farthest_first(points, simplex):
+    """The indices of the points outside ``simplex``, farthest from its
+    centroid first and by index among equals. With m simplex points summing
+    to t, the key |m q - t|^2 is m^2 times the squared distance of q to the
+    centroid, an integer."""
+    m = len(simplex)
+    total = [sum(c) for c in zip(*(points[i] for i in simplex))]
+    inside = set(simplex)
+    return sorted(
+        (i for i in range(len(points)) if i not in inside),
+        key=lambda i: (-sum((m * x - t) ** 2 for x, t in zip(points[i], total)), i),
+    )
 
 
 def _beneath_beyond(points, simplex):
@@ -159,12 +197,14 @@ def _beneath_beyond(points, simplex):
     Revisited", 2003) in integer arithmetic.
 
     The hull starts as the full-dimensional ``simplex``; the other points
-    are added in order. With slacks s = b - a.q, the facets with s < 0 see q
-    and are dropped, the facets with s = 0 gain q, and every ridge between a
-    dropped facet G and a kept facet H with s_H > 0 spans a new facet with q
-    (see :func:`_ridge_pencils`). On points of the old hull that facet is a
+    are added farthest first (see :func:`_farthest_first`), so that the
+    points beyond the hull come early and the later ones mostly see no
+    facet. With slacks s = b - a.q, the facets with s < 0 see q and are
+    dropped, the facets with s = 0 gain q, and every ridge between a dropped
+    facet G and a kept facet H with s_H > 0 spans a new facet with q (see
+    :func:`_ridge_pencils`). On points of the old hull that facet is a
     positive combination of G and H, so the old points on it are exactly
-    those on G & H, and every point set stays complete.
+    those on G & H, and every point set stays complete, whatever the order.
     """
     n = len(points[0])
     facets = []
@@ -177,10 +217,8 @@ def _beneath_beyond(points, simplex):
         if _dot(normal, points[i]) > offset:
             normal, offset = tuple(-x for x in normal), -offset
         facets.append((normal, offset, frozenset(others)))
-    start = set(simplex)
-    for iq, q in enumerate(points):
-        if iq in start:
-            continue
+    for iq in _farthest_first(points, simplex):
+        q = points[iq]
         slack = [b - _dot(a, q) for a, b, _ in facets]
         visible = [g for g, s in enumerate(slack) if s < 0]
         kept = [
@@ -207,6 +245,31 @@ def _grid(lo, widths, start, stop, dtype):
     return x
 
 
+def _box_rows(ks, los, his, axes, cap, dtype):
+    """The rows (k, x) for the integer points x of the boxes of the dilates
+    kP in the coordinates ``axes``, k ascending and x in row-major order, as
+    arrays of at most ``cap`` rows."""
+    parts, size = [], 0
+    for k in ks:
+        corner = [k * los[i] for i in axes]
+        widths = [k * (his[i] - los[i]) + 1 for i in axes]
+        total = prod(widths)
+        done = 0
+        while done < total:
+            stop = min(total, done + cap - size)
+            part = np.empty((stop - done, len(axes) + 1), dtype=dtype)
+            part[:, 0] = k
+            part[:, 1:] = _grid(corner, widths, done, stop, dtype)
+            parts.append(part)
+            size += stop - done
+            done = stop
+            if size == cap:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
+
+
 def _fiber_intervals(r, runs, div, nneg, npos):
     """Each fiber's interval of x_j in kP and in its interior.
 
@@ -231,26 +294,121 @@ def _fiber_intervals(r, runs, div, nneg, npos):
     return first[0], length
 
 
-class _ScanPlan(NamedTuple):
-    """What :meth:`Polytope._scan` needs of P for every dilate: the corners
-    of P's bounding box, its widest axis j and the other axes; the facets
-    sorted by a_j, as the row runs of equal a_j with ``nneg`` negative and
-    ``npos`` positive values; the fibers per chunk; the facet normals without
-    a_j, the offsets and |a_j| per run (1 for a_j = 0), as Python ints; and
-    P's share of the bound B of :meth:`Polytope._int64_safe`."""
+def _expand(rows, first, lengths, cap):
+    """Each row followed by each x of its interval first..first+length-1 as
+    one more column, in row order, as arrays of at most ``cap`` rows."""
+    lengths = lengths.astype(np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # the t-th new row extends row i, with starts[i] <= t < ends[i], by
+    # first[i] + t - starts[i]
+    base = first - starts
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, cap):
+        stop = min(start + cap, total)
+        if stop - start == total:
+            parent = np.repeat(np.arange(len(lengths)), lengths)
+        else:
+            # the rows whose new rows meet start..stop-1, and how many of them
+            lo, hi = np.searchsorted(ends, [start, stop - 1], side="right")
+            some = slice(lo, hi + 1)
+            counts = np.minimum(ends[some], stop) - np.maximum(starts[some], start)
+            parent = np.repeat(np.arange(lo, hi + 1), counts)
+        out = np.empty((stop - start, rows.shape[1] + 1), dtype=rows.dtype)
+        out[:, :-1] = rows[parent]
+        out[:, -1] = base[parent] + np.arange(start, stop)
+        yield out
 
-    los: list[int]
-    his: list[int]
+
+def _project(facets, c):
+    """The facets of the projection that drops the coordinate at position
+    ``c``, from the facets (normal, offset, vertex indices) of a polytope Q.
+
+    This is Fourier-Motzkin elimination without its redundant rows
+    (Schrijver, Theory of Linear and Integer Programming, section 12.2). A
+    facet with a_c = 0 projects to a facet with the same point set. A facet
+    G with a_c > 0 and a facet H with a_c < 0 that meet in a ridge give the
+    facet a_c^G H - a_c^H G, made primitive: the pencil member through
+    G & H parallel to axis c (see :func:`_ridge_pencils`, with the slacks
+    a_c of the direction -e_c). Every other pair meets in a smaller face
+    and gives a redundant row. The point sets hold the vertices of P that
+    project into each facet, so the ridge test stays exact at every level.
+    """
+    column = [a[c] for a, _, _ in facets]
+    lower = [h for h, s in enumerate(column) if s < 0]
+    out = [f for f, s in zip(facets, column) if s == 0]
+    for g, s in enumerate(column):
+        if s > 0:
+            out.extend(f for _, _, f in _ridge_pencils(facets, column, g, lower))
+    return [(a[:c] + a[c + 1 :], b, on) for a, b, on in out]
+
+
+class _Level(NamedTuple):
+    """One level of a scan walk: the facets of a coordinate projection P_m,
+    which extend each point x' of the previous projection by the interval
+    of the coordinate ``axis`` over it. The facets are sorted by a_axis, as
+    the row runs of equal a_axis with ``nneg`` negative and ``npos``
+    positive values; ``homogeneous`` holds the rows (b, -a') with a' the
+    normal on the walk's earlier coordinates, so that it maps a row (k, x')
+    to the slacks k b - a'.x'; ``div`` holds |a_axis| per run (1 for
+    a_axis = 0), both as Python ints, and ``int64`` holds the two as int64
+    arrays, or None if an entry does not fit; ``rows`` is the walk rows per
+    chunk, and ``bound`` is max |b| + sum |a_i| max |x_i| over the facets,
+    x' ranging over P's box."""
+
     axis: int
-    rest: list[int]
     runs: list[tuple[int, int]]
     nneg: int
     npos: int
-    chunk: int
-    normals: np.ndarray
-    offsets: np.ndarray
+    homogeneous: np.ndarray
     div: np.ndarray
+    int64: tuple[np.ndarray, np.ndarray] | None
+    rows: int
     bound: int
+
+
+def _level(facets, axes, axis, prefix, los, his):
+    """The :class:`_Level` that adds ``axis`` to the walk coordinates
+    ``prefix``, from the facets of the projection on ``axes``; ``los`` and
+    ``his`` are the corners of P's box."""
+    at = {i: p for p, i in enumerate(axes)}
+    c = at[axis]
+    facets = sorted(facets, key=lambda f: f[0][c])
+    column = [a[c] for a, _, _ in facets]
+    values = sorted(set(column))
+    earlier = [at[i] for i in prefix]
+    homogeneous = np.array([[b, *(-a[i] for i in earlier)] for a, b, _ in facets], dtype=object)
+    div = np.array([[abs(v) or 1] for v in values], dtype=object)
+    reach = np.array([1, *(max(abs(los[i]), abs(his[i])) for i in prefix)], dtype=object)
+    try:
+        int64 = (homogeneous.astype(np.int64), div.astype(np.int64))
+    except OverflowError:
+        int64 = None
+    return _Level(
+        axis=axis,
+        runs=[(bisect_left(column, v), bisect_right(column, v)) for v in values],
+        nneg=bisect_left(values, 0),
+        npos=len(values) - bisect_right(values, 0),
+        homogeneous=homogeneous,
+        div=div,
+        int64=int64,
+        rows=max(1, _CHUNK_ENTRIES // len(facets)),
+        bound=(abs(homogeneous) @ reach).max(),
+    )
+
+
+class _ScanPlan(NamedTuple):
+    """What :meth:`Polytope._scan` needs of P for every dilate: the corners
+    of P's bounding box, with the largest |x_i| on it and its widest side;
+    the walk's coordinate ``order``; and the level of P itself, which adds
+    the last coordinate of the order to the others."""
+
+    los: list[int]
+    his: list[int]
+    reach: int
+    width: int
+    order: list[int]
+    last: _Level
 
 
 def memo(fn):
@@ -327,114 +485,160 @@ class Polytope:
     def _scan_plan(self) -> _ScanPlan:
         """The part of every dilate scan that does not depend on k.
 
-        kP's box is k times P's box, so its widest axis, and with it the
-        facet runs and the normals, are the same for every k; each int64
-        bound of :meth:`_int64_safe` is affine in k.
+        The projections of kP are k times those of P, so the walk order, the
+        facet runs and the normals are the same for every k; each int64
+        bound of :meth:`_int64_safe` is affine in k. The chain of
+        projections drops the widest remaining axis of P's box at each step,
+        the first of equals, and the walk adds the axes in the reverse
+        order: its last level is the fiber step along the widest axis.
         """
-        los = [min(v[i] for v in self.vertices) for i in range(self.dim)]
-        his = [max(v[i] for v in self.vertices) for i in range(self.dim)]
-        axis = max(range(self.dim), key=lambda i: his[i] - los[i])
-        rest = [i for i in range(self.dim) if i != axis]
-        facets = sorted(self.facets, key=lambda f: f.normal[axis])
-        column = [f.normal[axis] for f in facets]
-        values = sorted(set(column))
+        n = self.dim
+        los = [min(v[i] for v in self.vertices) for i in range(n)]
+        his = [max(v[i] for v in self.vertices) for i in range(n)]
+        dropped = sorted(range(n), key=lambda i: los[i] - his[i])
+        order = dropped[::-1]
+        facets = [(f.normal, f.offset, f.vertices) for f in self.facets]
         return _ScanPlan(
             los=los,
             his=his,
-            axis=axis,
-            rest=rest,
-            runs=[(bisect_left(column, aj), bisect_right(column, aj)) for aj in values],
-            nneg=bisect_left(values, 0),
-            npos=len(values) - bisect_right(values, 0),
-            chunk=max(1, _CHUNK_ENTRIES // len(facets)),
-            normals=np.array([[f.normal[i] for i in rest] for f in facets], dtype=object),
-            offsets=np.array([[f.offset] for f in facets], dtype=object),
-            div=np.array([[abs(aj) or 1] for aj in values], dtype=object),
-            bound=max(
-                abs(f.offset)
-                + sum(abs(f.normal[i]) * max(abs(los[i]), abs(his[i])) for i in rest)
-                for f in facets
-            ),
+            reach=max(max(abs(lo), abs(hi)) for lo, hi in zip(los, his)),
+            width=max(hi - lo for lo, hi in zip(los, his)),
+            order=order,
+            last=_level(facets, range(n), order[-1], order[:-1], los, his),
         )
 
+    @memo
+    def _projections(self) -> list[_Level]:
+        """The levels of the projections P_2, ..., P_{n-1} in the walk order,
+        which the walks of the dilates beyond P take before P's own level;
+        built on the first such walk, since P itself needs none."""
+        plan = self._scan_plan()
+        order = plan.order
+        axes = list(range(self.dim))
+        facets = [(f.normal, f.offset, f.vertices) for f in self.facets]
+        levels = []
+        for axis in order[:1:-1]:
+            facets = _project(facets, axes.index(axis))
+            axes.remove(axis)
+            added = order[len(axes) - 1]
+            levels.append(_level(facets, axes, added, order[: len(axes) - 1], plan.los, plan.his))
+        return levels[::-1]
+
+    def _levels(self, k) -> list[_Level]:
+        """The levels of the walk of kP: P's own for P, which walks the box
+        of the other coordinates, and every projection's for larger k."""
+        last = self._scan_plan().last
+        return [last] if k == 1 else [*self._projections(), last]
+
+    def _box_fibers(self, k) -> int:
+        """The fibers of the box walk of kP, which the scan budget counts."""
+        plan = self._scan_plan()
+        return prod(k * (plan.his[i] - plan.los[i]) + 1 for i in plan.order[:-1])
+
     def _int64_safe(self, k) -> bool:
-        """Whether every intermediate of the fiber scan of kP fits in int64
-        (see the module docstring for the bounds); B is k times the plan's
-        ``bound``."""
+        """Whether every intermediate of the walks of the dilates up to kP
+        fits in int64 (see the module docstring for the bounds)."""
         plan = self._scan_plan()
-        lo, hi = plan.los[plan.axis], plan.his[plan.axis]
-        reach = k * max(abs(lo), abs(hi))
-        width = k * (hi - lo) + 1
-        return max(2 * k * plan.bound + 3, reach, plan.chunk * width) <= _INT64_MAX
+        levels = self._levels(k)
+        bound = max(level.bound for level in levels)
+        rows = max(level.rows for level in levels)
+        return (
+            all(level.int64 for level in levels)
+            and max(2 * k * bound + 3, k * plan.reach + rows * (k * plan.width + 1)) <= _INT64_MAX
+        )
 
-    def _scan(self, k, collect: bool):
-        """Count, and optionally collect, the lattice points of kP by fibers.
+    def _scan(self, ks, collect: bool):
+        """Count, and optionally collect, the lattice points of the dilates
+        kP for the ascending ``ks`` in one walk.
 
-        Along the widest axis j of kP's bounding box, each line through a
-        point x' of the box of the other coordinates meets kP in an integer
-        interval of x_j. A facet a.x <= k b gives a_j x_j <= r with
-        r = k b - a'.x': x_j <= floor(r / a_j) if a_j > 0,
-        x_j >= -floor(r / -a_j) if a_j < 0, and r >= 0 if a_j = 0. On
-        integers a.x < k b means a.x <= k b - 1, so the same bounds on r - 1
-        give the interior count in the same pass. The arithmetic is int64
-        when :meth:`_int64_safe` allows it and Python ints otherwise. Raises
-        :class:`BudgetExceeded` beyond ``budget`` fibers.
+        The walk keeps rows (k, x'): the integer points x' of the projections
+        of kP on the first coordinates of the plan's order. It starts from
+        the box of the first coordinates, and each level extends every row
+        by the integer interval of its next coordinate over x'. A facet
+        a.x <= k b of the level's projection gives a_c x_c <= r with
+        r = k b - a'.x': x_c <= floor(r / a_c) if a_c > 0,
+        x_c >= -floor(r / -a_c) if a_c < 0, and r >= 0 if a_c = 0. The last
+        level is P itself: its intervals, summed per k, are the counts, and
+        on integers a.x < k b means a.x <= k b - 1, so the same bounds on
+        r - 1 give the interior counts in the same pass. A walk that holds P
+        itself takes P's level alone, from the box of the other coordinates:
+        at k = 1 the projections save too few fibers to pay for their
+        levels. Every other walk starts from the box of the first
+        coordinate, which is P_1, and takes every level.
+        The arithmetic is int64 when :meth:`_int64_safe` allows it and
+        Python ints otherwise. Raises :class:`BudgetExceeded` for the first
+        k whose box walk has more than ``budget`` fibers.
 
-        Returns (closed_count, interior_count, points or None).
+        Returns (closed_count, interior_count, points or None) per k.
         """
-        if k < 1:
+        if ks[0] < 1:
             raise ValueError("dilation factor must be >= 1")
-        n = self.dim
+        for k in ks:
+            fibers = self._box_fibers(k)
+            if fibers > self.budget:
+                raise BudgetExceeded(fibers, self.budget)
         plan = self._scan_plan()
-        axis, rest, chunk = plan.axis, plan.rest, plan.chunk
-        lo = [k * plan.los[i] for i in rest]
-        widths = [k * (plan.his[i] - plan.los[i]) + 1 for i in rest]
-        fibers = prod(widths)
-        if fibers > self.budget:
-            raise BudgetExceeded(fibers, self.budget)
-        dtype = np.int64 if self._int64_safe(k) else object
-        a = plan.normals.astype(dtype, copy=False)
-        kb = (k * plan.offsets).astype(dtype, copy=False)
-        div = plan.div.astype(dtype, copy=False)
-        # Fibers run in row-major order. The trailing coordinates that fit in
-        # a chunk form a block whose share of the slacks is computed once;
-        # each chunk adds the share of a run of leading coordinates.
-        split = n - 1
-        block = 1
-        while split > 0 and block * widths[split - 1] <= chunk:
-            split -= 1
-            block *= widths[split]
-        inner = _grid(lo[split:], widths[split:], 0, block, dtype)
-        inner_slack = kb - a[:, split:] @ inner.T
-        leading = prod(widths[:split])
-        per_chunk = max(1, chunk // block)
-        closed = 0
-        interior = 0
-        pts: set[LatticePoint] = set()
-        for start in range(0, leading, per_chunk):
-            outer = _grid(lo[:split], widths[:split], start, min(start + per_chunk, leading), dtype)
-            r = inner_slack[:, None, :] - (a[:, :split] @ outer.T)[:, :, None]
-            r = r.reshape(len(a), -1)
-            first, lengths = _fiber_intervals(r, plan.runs, div, plan.nneg, plan.npos)
-            sums = lengths.sum(axis=1)
-            closed += int(sums[0])
-            interior += int(sums[1])
-            if collect:
-                hit = np.flatnonzero(lengths[0])
-                reps = lengths[0, hit].astype(np.int64)
-                ends = np.cumsum(reps)
-                offsets = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - reps, reps)
-                rows = np.empty((len(offsets), n), dtype=dtype)
-                rows[:, axis] = np.repeat(first[hit], reps) + offsets
-                rows[:, rest[:split]] = np.repeat(outer[hit // block], reps, axis=0)
-                rows[:, rest[split:]] = np.repeat(inner[hit % block], reps, axis=0)
-                pts.update(map(tuple, rows.tolist()))
-        return closed, interior, frozenset(pts) if collect else None
+        levels = self._levels(ks[0])
+        start = plan.order[: self.dim - len(levels)]
+        dtype = np.int64 if self._int64_safe(ks[-1]) else object
+        steps = [
+            (level, *(level.int64 if dtype is np.int64 else (level.homogeneous, level.div)))
+            for level in levels
+        ]
+        labels = np.array(ks, dtype=dtype)
+        closed = [0] * len(ks)
+        interior = [0] * len(ks)
+        pts: list[set[LatticePoint]] = [set() for _ in ks]
+        # the walk's columns hold the coordinates in the plan's order
+        columns = [plan.order.index(i) + 1 for i in range(self.dim)]
+
+        def extend(depth, rows):
+            level, homogeneous, div = steps[depth]
+            for at in range(0, len(rows), level.rows):
+                part = rows[at : at + level.rows]
+                r = homogeneous @ part.T
+                first, lengths = _fiber_intervals(r, level.runs, div, level.nneg, level.npos)
+                if depth + 1 < len(steps):
+                    for more in _expand(part, first, lengths[0], steps[depth + 1][0].rows):
+                        extend(depth + 1, more)
+                    continue
+                # rows run in ascending k; sum the lengths up to each k's end
+                ends = np.searchsorted(part[:, 0], labels, side="right")
+                totals = np.zeros((2, len(part) + 1), dtype=dtype)
+                np.cumsum(lengths, axis=1, out=totals[:, 1:])
+                running = totals[:, ends].tolist()
+                for i in range(len(ks)):
+                    closed[i] += running[0][i] - (running[0][i - 1] if i else 0)
+                    interior[i] += running[1][i] - (running[1][i - 1] if i else 0)
+                if collect:
+                    for points in _expand(part, first, lengths[0], level.rows):
+                        bounds = np.searchsorted(points[:, 0], labels, side="right").tolist()
+                        for i, (lo, hi) in enumerate(zip([0, *bounds], bounds)):
+                            pts[i].update(map(tuple, points[lo:hi, columns].tolist()))
+
+        for rows in _box_rows(ks, plan.los, plan.his, start, steps[0][0].rows, dtype):
+            extend(0, rows)
+        return [
+            (c, i, frozenset(p) if collect else None) for c, i, p in zip(closed, interior, pts)
+        ]
+
+    def count_dilates(self, ks) -> None:
+        """Count the dilates kP for the k >= 1 in ``ks`` that are not counted
+        yet, with as few walks as the budget allows: one for P itself, which
+        walks its box, and one for all larger dilates, over the projections.
+        The walks stop before the first dilate over the budget, which raises
+        :class:`BudgetExceeded` only when its count is asked for."""
+        todo = sorted({k for k in ks if k >= 1 and ("Polytope._counts", k) not in self._memo})
+        todo = list(itertools.takewhile(lambda k: self._box_fibers(k) <= self.budget, todo))
+        for walk in ([k for k in todo if k == 1], [k for k in todo if k > 1]):
+            if walk:
+                for k, (closed, interior, _) in zip(walk, self._scan(walk, collect=False)):
+                    self._memo[("Polytope._counts", k)] = (closed, interior)
 
     @memo
     def _counts(self, k):
         """(closed, interior) lattice-point counts of kP."""
-        closed, interior, _ = self._scan(k, collect=False)
+        ((closed, interior, _),) = self._scan([k], collect=False)
         return closed, interior
 
     def lattice_count(self, k: int) -> int:
@@ -454,7 +658,7 @@ class Polytope:
         """The integer points of the dilate kP; 0P is the origin."""
         if k == 0:
             return frozenset([(0,) * self.dim])
-        closed, interior, pts = self._scan(k, collect=True)
+        ((closed, interior, pts),) = self._scan([k], collect=True)
         # the collecting scan also counted, so later counts of kP need no scan
         self._memo.setdefault(("Polytope._counts", k), (closed, interior))
         return pts

@@ -25,6 +25,11 @@ def unit_cube(n):
     return build_polytope(list(itertools.product((0, 1), repeat=n)))
 
 
+def cross_polytope(n):
+    """conv(+-e_1, ..., +-e_n): reflexive, with h* = (C(n, i))."""
+    return build_polytope([tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)])
+
+
 def unit_square():
     return unit_cube(2)
 

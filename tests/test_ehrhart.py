@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from castelpoly.ehrhart import (
@@ -12,6 +14,7 @@ from castelpoly.ehrhart import (
 from castelpoly.errors import InvariantViolation
 
 from conftest import (
+    cross_polytope,
     nonspanning_dim4,
     reflexive_simplex_3,
     spanning_non_idp_family,
@@ -56,6 +59,14 @@ def test_hstar_square_2x2():
 
 def test_hstar_cube():
     assert hstar(unit_cube(3)).coeffs == (1, 4, 1, 0)
+
+
+def test_hstar_cross_polytope_dim7():
+    # the box walk of 7P would take 15^6 = 11,390,625 fibers; the walk over
+    # the projections takes the lattice points of 7 times the 6-cross-polytope
+    p = cross_polytope(7)
+    assert hstar(p).coeffs == tuple(comb(7, i) for i in range(8))
+    assert degree(p) == 7
 
 
 def test_hstar_reflexive_simplex():

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from castelpoly import geometry
+from castelpoly.ehrhart import hstar
 from castelpoly.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -17,12 +19,13 @@ from castelpoly.errors import (
     NotFullDimensional,
 )
 from castelpoly.exact_linalg import det
-from castelpoly.geometry import Polytope, _primitive, build_polytope
+from castelpoly.geometry import _CHUNK_ENTRIES, Polytope, _primitive, _project, build_polytope
 from castelpoly.registry import reflexive_simplex_vertices, standard_simplex_vertices
 
 from conftest import (
     affine_dimension,
     brute_force_hull,
+    cross_polytope,
     hull_clouds,
     nonspanning_dim4,
     oracle_clouds,
@@ -116,6 +119,25 @@ def test_hull_matches_brute_force_oracle(cloud):
         return
     p = build_polytope(cloud)
     assert (p.facets, p.vertices, p.discarded_points) == brute_force_hull(cloud)
+
+
+def sorted_insertion(points, simplex):
+    """The hull's former insertion order: the points outside the starting
+    simplex by index."""
+    inside = set(simplex)
+    return [i for i in range(len(points)) if i not in inside]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cloud=hull_clouds())
+def test_hull_matches_sorted_insertion_oracle(cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    with mock.patch.object(geometry, "_farthest_first", sorted_insertion):
+        q = build_polytope(cloud)
+    assert (p.facets, p.vertices, p.discarded_points) == (q.facets, q.vertices, q.discarded_points)
 
 
 def test_every_vertex_on_every_facet_weakly(square):
@@ -238,11 +260,76 @@ def test_fiber_scan_matches_box_oracle(python_ints, cloud):
         p = build_polytope(cloud)
     except NotFullDimensional:
         return
+    ks = list(range(1, 2 * p.dim + 1))
+    expected = [box_scan(p, k) for k in ks]
     with force_python_ints() if python_ints else nullcontext():
-        for k in range(1, 2 * p.dim + 1):
-            expected = box_scan(p, k)
-            assert p._scan(k, collect=False) == (*expected[:2], None)
-            assert p._scan(k, collect=True) == expected
+        # one batched walk for every dilate but P, which walks its box
+        p.count_dilates(ks)
+        assert [(p.lattice_count(k), p.interior_lattice_count(k)) for k in ks] == [
+            e[:2] for e in expected
+        ]
+        assert p._scan(ks[1:], collect=True) == expected[1:]
+        for k, e in zip(ks, expected):
+            assert p._scan([k], collect=True) == [e]
+
+
+def level_facets(level):
+    """The (normal, offset) of a walk level's facets, with the normal on the
+    walk's coordinates up to the level's axis."""
+    zero = len(level.runs) - level.nneg - level.npos
+    signs = [-1] * level.nneg + [0] * zero + [1] * level.npos
+    return sorted(
+        ((*(-a for a in row[1:]), sign * div), row[0])
+        for (start, end), sign, (div,) in zip(level.runs, signs, level.div.tolist())
+        for row in level.homogeneous[start:end].tolist()
+    )
+
+
+def shadow_facets(p, axes):
+    """Oracle: the facets of the hull of P's vertices projected on ``axes``,
+    each with the indices of the vertices of P that project into it."""
+    shadow = [tuple(v[i] for i in axes) for v in p.vertices]
+    return sorted(
+        (f.normal, f.offset, frozenset(i for i, x in enumerate(shadow) if f.value(x) == f.offset))
+        for f in build_polytope(shadow).facets
+    )
+
+
+# the ridge route of the projection chain against the hull of the projected
+# vertices: the facets that every level of the walk reads, and the vertex
+# sets that each projection step hands on
+@settings(max_examples=300, deadline=None)
+@given(cloud=st.one_of(hull_clouds(), oracle_clouds))
+def test_projection_levels_match_hull_oracle(cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    plan = p._scan_plan()
+    levels = [*p._projections(), plan.last]
+    assert [level.axis for level in levels] == plan.order[len(plan.order) - len(levels) :]
+    for level in levels:
+        axes = plan.order[: plan.order.index(level.axis) + 1]
+        assert level_facets(level) == [f[:2] for f in shadow_facets(p, axes)]
+    axes = list(range(p.dim))
+    facets = [(f.normal, f.offset, f.vertices) for f in p.facets]
+    for axis in plan.order[:1:-1]:
+        facets = _project(facets, axes.index(axis))
+        axes.remove(axis)
+        assert sorted(facets) == shadow_facets(p, axes)
+
+
+def test_walk_chunks_stay_within_bound(monkeypatch):
+    seen = []
+    real = geometry._fiber_intervals
+
+    def spy(r, *args):
+        seen.append(r.size)
+        return real(r, *args)
+
+    monkeypatch.setattr(geometry, "_fiber_intervals", spy)
+    hstar(cross_polytope(7))
+    assert len(seen) > 7 and max(seen) <= _CHUNK_ENTRIES
 
 
 SQUARE_PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]

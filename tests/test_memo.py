@@ -48,34 +48,69 @@ def test_report_runs_one_volume_pass(monkeypatch, vertices):
 
 # Collecting scans of the dilates that the spanning, IDP and pulling steps
 # read, and count scans of the other dilates that hstar, degree and the
-# audit's Ehrhart round trip read; no dilate is scanned twice in the same
-# mode, and a collecting scan also serves the counts of its dilate. The
+# audit's Ehrhart round trip read. hstar counts all its dilates beyond P in
+# one walk, and so does the round trip; no dilate is scanned twice in the
+# same mode, and a collecting scan also serves the counts of its dilate. The
 # report runs IDP before hstar and the audit pulls before it counts, so
 # each collects first.
+# Each case pins the walks, as (dilates, collect), and the number of dilate
+# scans they hold, which names the case.
 @pytest.mark.parametrize(
-    "vertices, run, scans",
+    "vertices, run, scans, walks",
     [
-        (nonspanning_dim4_vertices(), build_report, 4),
-        (nonspanning_dim4_vertices(), audit_polytope, 8),
-        (family_vertices(1), build_report, 3),
-        (family_vertices(1), audit_polytope, 6),
-        (family_vertices(1), lambda p: (p.lattice_points(3), p.lattice_count(3)), 1),
+        pytest.param(
+            nonspanning_dim4_vertices(),
+            build_report,
+            4,
+            [((1,), True), ((2,), True), ((3, 4), False)],
+            id="vertices0-build_report-4",
+        ),
+        pytest.param(
+            nonspanning_dim4_vertices(),
+            audit_polytope,
+            8,
+            [((1,), True), ((2, 3, 4), False), ((5, 6, 7, 8), False)],
+            id="vertices1-audit_polytope-8",
+        ),
+        pytest.param(
+            family_vertices(1),
+            build_report,
+            3,
+            [((1,), True), ((2,), True), ((3,), False)],
+            id="vertices2-build_report-3",
+        ),
+        pytest.param(
+            family_vertices(1),
+            audit_polytope,
+            6,
+            [((1,), True), ((2, 3), False), ((4, 5, 6), False)],
+            id="vertices3-audit_polytope-6",
+        ),
+        pytest.param(
+            family_vertices(1),
+            lambda p: (p.lattice_points(3), p.lattice_count(3)),
+            1,
+            [((3,), True)],
+            id="vertices4-<lambda>-1",
+        ),
     ],
 )
-def test_scans_per_analysis(monkeypatch, vertices, run, scans):
+def test_scans_per_analysis(monkeypatch, vertices, run, scans, walks):
     calls = []
     real = Polytope._scan
 
-    def counting(self, k, collect):
-        calls.append((k, collect))
-        return real(self, k, collect)
+    def counting(self, ks, collect):
+        calls.append((tuple(ks), collect))
+        return real(self, ks, collect)
 
     monkeypatch.setattr(Polytope, "_scan", counting)
     run(build_polytope(vertices))
-    assert len(calls) == scans
-    assert len(set(calls)) == len(calls)
+    assert calls == walks
+    scanned = [(k, collect) for ks, collect in calls for k in ks]
+    assert len(scanned) == scans
+    assert len(set(scanned)) == len(scanned)
     if run is build_report:
-        assert len({k for k, _ in calls}) == len(calls)
+        assert len({k for k, _ in scanned}) == len(scanned)
 
 
 def test_budget_is_fixed_per_polytope():
