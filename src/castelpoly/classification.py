@@ -3,8 +3,10 @@
 IDP is checked dilate by dilate: every lattice point t of kP must be t = s + y
 with s in (k-1)P and y in P. Points get integer keys in one row-major box
 that holds kP - P, so key(t - y) = key(t) - key(y), and each y in P looks up
-the points of kP not yet covered in the sorted keys of (k-1)P at once. The
-keys are int64 when the box's size fits, and Python ints otherwise.
+the points of kP not yet covered in the sorted keys of (k-1)P at once. Each
+dilate's points come in lexicographic order, which is key order in a
+row-major box, so the keys come sorted. They are int64 when the box's size
+fits, and Python ints otherwise.
 
 The Castelnuovo decision is implemented twice on purpose:
 
@@ -86,9 +88,10 @@ def spanning_invariant_factors(p: Polytope) -> tuple[int, ...]:
     """Invariant factors of the lattice generated by the differences of P's
     lattice points from the lexicographically smallest one (chosen for
     determinism): the Smith normal form of its n x n Hermite basis."""
-    pts = sorted(p.lattice_points(1))
-    base = pts[0]
-    rows = [tuple(x - b for x, b in zip(q, base)) for q in pts[1:]]
+    pts = p._points(1)
+    # the first point is the smallest; a difference of two points of P is
+    # at most the widest side of its box, within the scan's int64 bound
+    rows = (pts[1:] - pts[0]).tolist()
     return snf(IntMatrix.from_rows(hermite_basis(rows))).d
 
 
@@ -104,6 +107,8 @@ def idp_check(p: Polytope, kmax: int | None = None) -> IdpVerdict:
     for all k (Ewald-Wessels / Bruns-Gubeladze-Trung), and the smaller
     dilates were checked directly.
     """
+    if kmax is not None and kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
     return _idp_up_to(p, max(2, p.dim - 1) if kmax is None else kmax)
 
 
@@ -125,16 +130,16 @@ def _idp_up_to(p: Polytope, k_top: int) -> IdpVerdict:
     which also holds (k-1)P. A point x gets the key sum x_i * stride_i with
     the row-major strides of that box: its index in the box less the
     origin's, so key(t - y) = key(t) - key(y) and key order is lexicographic
-    order on the box. With (k-1)P's keys sorted, each y in P looks up the
-    keys of kP not yet covered, less key(y), in one ``searchsorted``.
+    order on the box. The points come in lexicographic order, so their keys
+    come sorted, and each y in P looks up the keys of kP not yet covered,
+    less key(y), among those of (k-1)P in one ``searchsorted``.
     """
     lo = [min(c) for c in zip(*p.vertices)]
     w = [max(c) - m for c, m in zip(zip(*p.vertices), lo)]
 
     def translated(k):
         # as Python ints, so huge coordinates never meet int64
-        pts = np.array(list(p.lattice_points(k)), dtype=object)
-        return pts - np.array([k * m for m in lo], dtype=object)
+        return p._points(k).astype(object) - np.array([k * m for m in lo], dtype=object)
 
     ground = translated(1)
     prev = ground
@@ -145,10 +150,10 @@ def _idp_up_to(p: Polytope, k_top: int) -> IdpVerdict:
         stride = np.array([prod(widths[i + 1 :]) for i in range(p.dim)], dtype=dtype)
         # the box's size, above every key, ends the table so that a lookup
         # past the last key of (k-1)P reads a value that matches nothing
-        table = np.sort(np.append(prev.astype(dtype) @ stride, prod(widths)))
+        table = np.append(prev.astype(dtype) @ stride, prod(widths))
         keys = target.astype(dtype) @ stride
-        left = np.sort(keys)
-        for shift in np.sort(ground.astype(dtype) @ stride):
+        left = keys
+        for shift in ground.astype(dtype) @ stride:
             want = left - shift
             left = left[table[table.searchsorted(want)] != want]
             if not len(left):

@@ -58,6 +58,8 @@ def ehrhart_profile(p: Polytope, kmax: int | None = None) -> EhrhartProfile:
     """Count the first kmax dilates (default: the ambient dimension), all but
     P itself in one walk."""
     kmax = p.dim if kmax is None else kmax
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     p.count_dilates(range(1, kmax + 1))
     return EhrhartProfile(tuple(p.lattice_count(k) for k in range(kmax + 1)))
 

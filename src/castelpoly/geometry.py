@@ -34,6 +34,12 @@ dilates of a request, each row labelled with its k. P itself walks the box
 of the coordinates but the last: the chain with no projection level. The
 scan budget counts the fibers of that box, for every dilate.
 
+A collecting walk keeps its last level's rows (k, x) and sorts them once,
+by k and then lexicographically in the standard coordinates. Each dilate's
+points are then one (N, n) array in that order, of the walk's dtype, which
+the spanning, IDP and pulling steps read as it is; ``lattice_points``
+builds the public frozenset from it on demand.
+
 The arithmetic is int64 numpy when no intermediate can overflow, and Python
 ints otherwise, so results are exact on every path. Projected normals grow,
 so each level has its own bound: let B be the largest |b| + sum over the
@@ -569,7 +575,8 @@ class Polytope:
         Python ints otherwise. Raises :class:`BudgetExceeded` for the first
         k whose box walk has more than ``budget`` fibers.
 
-        Returns (closed_count, interior_count, points or None) per k.
+        Returns (closed_count, interior_count, points or None) per k, the
+        points as an (N, n) array in lexicographic order, of the walk's dtype.
         """
         if ks[0] < 1:
             raise ValueError("dilation factor must be >= 1")
@@ -588,9 +595,8 @@ class Polytope:
         labels = np.array(ks, dtype=dtype)
         closed = [0] * len(ks)
         interior = [0] * len(ks)
-        pts: list[set[LatticePoint]] = [set() for _ in ks]
-        # the walk's columns hold the coordinates in the plan's order
-        columns = [plan.order.index(i) + 1 for i in range(self.dim)]
+        # the collected rows (k, x), with x in the plan's order
+        chunks = []
 
         def extend(depth, rows):
             level, homogeneous, div = steps[depth]
@@ -611,16 +617,18 @@ class Polytope:
                     closed[i] += running[0][i] - (running[0][i - 1] if i else 0)
                     interior[i] += running[1][i] - (running[1][i - 1] if i else 0)
                 if collect:
-                    for points in _expand(part, first, lengths[0], level.rows):
-                        bounds = np.searchsorted(points[:, 0], labels, side="right").tolist()
-                        for i, (lo, hi) in enumerate(zip([0, *bounds], bounds)):
-                            pts[i].update(map(tuple, points[lo:hi, columns].tolist()))
+                    chunks.extend(_expand(part, first, lengths[0], level.rows))
 
         for rows in _box_rows(ks, plan.los, plan.his, start, steps[0][0].rows, dtype):
             extend(0, rows)
-        return [
-            (c, i, frozenset(p) if collect else None) for c, i, p in zip(closed, interior, pts)
-        ]
+        if not collect:
+            return [(c, i, None) for c, i in zip(closed, interior)]
+        rows = np.concatenate(chunks)
+        # sort by k, then x_0, ..., x_{n-1} (lexsort's last key is its first)
+        columns = [0, *(plan.order.index(i) + 1 for i in range(self.dim))]
+        order = np.lexsort([rows[:, c] for c in columns[::-1]])
+        points = rows[order[:, None], columns[1:]]
+        return list(zip(closed, interior, np.split(points, np.cumsum(closed)[:-1])))
 
     def count_dilates(self, ks) -> None:
         """Count the dilates kP for the k >= 1 in ``ks`` that are not counted
@@ -654,14 +662,22 @@ class Polytope:
         return self._counts(k)[1]
 
     @memo
+    def _points(self, k: int) -> np.ndarray:
+        """The integer points of the dilate kP as a read-only (N, n) array
+        in lexicographic order: int64 when :meth:`_int64_safe` holds for k,
+        and Python ints otherwise. 0P is the origin."""
+        if k == 0:
+            pts = np.zeros((1, self.dim), dtype=np.int64)
+        else:
+            ((closed, interior, pts),) = self._scan([k], collect=True)
+            # the collecting scan also counted, so later counts of kP need no scan
+            self._memo.setdefault(("Polytope._counts", k), (closed, interior))
+        pts.flags.writeable = False
+        return pts
+
     def lattice_points(self, k: int) -> frozenset[LatticePoint]:
         """The integer points of the dilate kP; 0P is the origin."""
-        if k == 0:
-            return frozenset([(0,) * self.dim])
-        ((closed, interior, pts),) = self._scan([k], collect=True)
-        # the collecting scan also counted, so later counts of kP need no scan
-        self._memo.setdefault(("Polytope._counts", k), (closed, interior))
-        return pts
+        return frozenset(map(tuple, self._points(k).tolist()))
 
     def interior_lattice_points(self, k: int) -> frozenset[LatticePoint]:
         """Integer points strictly inside kP (filtered from the closed set)."""

@@ -97,7 +97,7 @@ def _checks_nonspanning_dim4():
         _check("h*", hstar(p).coeffs, (1, 1, 1, 1, 0)),
         _check("degree", degree(p), 3),
         _check("volume", normalized_volume(p), 4),
-        _check("lattice points", len(p.lattice_points(1)), 6),
+        _check("lattice points", p.lattice_count(1), 6),
         _check("spanning", is_spanning(p), False),
         _check("invariant factors", spanning_invariant_factors(p), (1, 1, 1, 2)),
         _check("castelnuovo", is_castelnuovo(p).verdict, False),
@@ -115,7 +115,7 @@ def _checks_family(a):
     out = [
         _check(f"a={a} h*", hstar(p).coeffs, expected_h),
         _check(f"a={a} degree", degree(p), a + 1),
-        _check(f"a={a} lattice points", len(p.lattice_points(1)), 2 * a + 3),
+        _check(f"a={a} lattice points", p.lattice_count(1), 2 * a + 3),
         _check(f"a={a} spanning", is_spanning(p), True),
         _check(f"a={a} idp status", verdict.status, STATUS_COUNTEREXAMPLE),
         _check(f"a={a} idp witness", verdict.witness, (a + 1, witness_point)),

@@ -78,8 +78,8 @@ from .geometry import _INT64_MAX, LatticePoint, Polytope, _dot, _ridge_pencils, 
 
 def _volumes(points, simplices, n) -> tuple[int, ...]:
     """Normalized volumes |det| of the edge matrices of the n-simplices
-    ``simplices`` (tuples of n+1 indices into ``points``), by one
-    fraction-free Bareiss elimination over all of them at once.
+    ``simplices`` (tuples of n+1 indices into the rows of ``points``), by
+    one fraction-free Bareiss elimination over all of them at once.
 
     Each matrix swaps in its own pivot row. Every intermediate is a minor of
     an edge matrix, so with W the widest side of the points' box it is at
@@ -116,8 +116,8 @@ def _volumes(points, simplices, n) -> tuple[int, ...]:
 
 
 def _root_slacks(p: Polytope, points) -> list[list[int]]:
-    """Slacks b - a.x of every point against every facet of P, in one matrix
-    product. Each partial sum of a.x is at most max|x_i| * sum |a_i|, so the
+    """Slacks b - a.x of every row x of the integer array ``points`` against
+    every facet of P, in one matrix product. Each partial sum of a.x is at most max|x_i| * sum |a_i|, so the
     product is int64 when |b| plus that bound is at most 2^63 - 1 for every
     facet, and Python ints otherwise."""
     # |x_i| is convex, so its largest value over P is taken at a vertex
@@ -126,7 +126,7 @@ def _root_slacks(p: Polytope, points) -> list[list[int]]:
     dtype = np.int64 if bound <= _INT64_MAX else object
     normals = np.array([f.normal for f in p.facets], dtype=dtype)
     offsets = np.array([f.offset for f in p.facets], dtype=dtype)
-    return (offsets - np.array(points, dtype=dtype) @ normals.T).tolist()
+    return (offsets - points.astype(dtype) @ normals.T).tolist()
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,8 @@ def _pull_simplex(verts, vol, held):
 def pulling_triangulation(p: Polytope) -> Triangulation:
     """Deterministic pulling triangulation on all lattice points of P."""
     n = p.dim
-    points = tuple(sorted(p.lattice_points(1)))
+    array = p._points(1)
+    points = tuple(map(tuple, array.tolist()))
     index = {pt: i for i, pt in enumerate(points)}
 
     # a facet cell's facets: (normal, offset, indices of the cell's vertices
@@ -235,7 +236,7 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     # facets)
     corner = [index[v] for v in p.vertices]
     root = [(f.normal, f.offset, frozenset(corner[i] for i in f.vertices)) for f in p.facets]
-    held = [(i, tuple(s)) for i, s in enumerate(_root_slacks(p, points))]
+    held = [(i, tuple(s)) for i, s in enumerate(_root_slacks(p, array))]
     stack = [(root, held)]
     # a simplex cell: (vertices, volume, later points with their volume
     # coordinates)
@@ -281,7 +282,7 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     if len(set(cells)) != len(cells):
         raise InvariantViolation("pulling produced duplicate cells")
     simplices = tuple(sorted(cells))
-    volumes = _volumes(points, simplices, n)
+    volumes = _volumes(array, simplices, n)
     if sum(volumes) != normalized_volume(p):
         raise InvariantViolation(
             "triangulation volumes do not add up to the normalized volume"

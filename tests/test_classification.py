@@ -209,6 +209,12 @@ def test_idp_partial_status():
     assert v.kmax_checked == 2
 
 
+@pytest.mark.parametrize("kmax", [0, -3])
+def test_idp_refuses_kmax_below_one(kmax):
+    with pytest.raises(ValueError, match=f"kmax must be >= 1, got {kmax}"):
+        idp_check(spanning_non_idp_family(1), kmax)
+
+
 def test_genus_data_values():
     g = genus_data(HStarVector(4, (1, 1, 1, 1, 0)))
     assert (g.genus, g.delta, g.m, g.bound) == (3, 2, 3, 3)

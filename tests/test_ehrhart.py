@@ -83,6 +83,13 @@ def test_profile_counts():
         EhrhartProfile((1, 3, 2))
 
 
+def test_profile_refuses_negative_kmax():
+    p = square_2x2()
+    assert ehrhart_profile(p, 0).counts == (1,)
+    with pytest.raises(ValueError, match="kmax must be >= 0, got -1"):
+        ehrhart_profile(p, -1)
+
+
 def test_ehrhart_eval_basics():
     h = HStarVector(2, (1, 1, 0))
     assert ehrhart_eval(h, 0) == 1

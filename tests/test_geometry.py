@@ -200,6 +200,7 @@ def test_interior_count_of_zeroth_dilate():
     assert p.lattice_count(0) == 1
     assert p.interior_lattice_count(0) == 0
     assert p.lattice_points(0) == frozenset([(0, 0)])
+    assert p._points(0).tolist() == [[0, 0]]
     assert p.interior_lattice_points(0) == frozenset()
     for method in (p.lattice_count, p.lattice_points, p.interior_lattice_count):
         with pytest.raises(ValueError, match="must be >= 1"):
@@ -230,14 +231,17 @@ def test_scan_beyond_int64_is_exact():
     q = build_polytope([(x + shift[0], y + shift[1]) for x, y in tri])
     assert not q._int64_safe(1)
     for k in (1, 2, 3):
-        moved = {(x + k * shift[0], y + k * shift[1]) for x, y in p.lattice_points(k)}
-        assert q.lattice_points(k) == moved
+        moved = sorted([x + k * shift[0], y + k * shift[1]] for x, y in p.lattice_points(k))
+        assert q._points(k).dtype == object
+        assert q._points(k).tolist() == moved
+        assert q.lattice_points(k) == frozenset(map(tuple, moved))
         assert q.interior_lattice_count(k) == p.interior_lattice_count(k)
 
 
 def box_scan(p, k):
     """Oracle: test every cell of the integer bounding box of kP against
-    every facet. Returns (closed count, interior count, points)."""
+    every facet. Returns (closed count, interior count, points), the points
+    as an array in the box's row-major order, which is lexicographic."""
     los = [min(k * v[i] for v in p.vertices) for i in range(p.dim)]
     his = [max(k * v[i] for v in p.vertices) for i in range(p.dim)]
     cells = np.stack(
@@ -248,8 +252,17 @@ def box_scan(p, k):
     kb = np.array([k * f.offset for f in p.facets])
     closed = np.all(vals <= kb, axis=1)
     interior = np.all(vals < kb, axis=1)
-    points = frozenset(map(tuple, cells[closed].tolist()))
-    return int(closed.sum()), int(interior.sum()), points
+    return int(closed.sum()), int(interior.sum()), cells[closed]
+
+
+def assert_scan(got, expected, int64):
+    """A collecting scan gives the oracle's counts and the same points in the
+    same order, int64 exactly when the walk's bound allows it."""
+    assert len(got) == len(expected)
+    for (closed, interior, points), (want_closed, want_interior, want) in zip(got, expected):
+        assert (closed, interior) == (want_closed, want_interior)
+        assert points.dtype == (np.int64 if int64 else object)
+        assert points.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])
@@ -268,9 +281,9 @@ def test_fiber_scan_matches_box_oracle(python_ints, cloud):
         assert [(p.lattice_count(k), p.interior_lattice_count(k)) for k in ks] == [
             e[:2] for e in expected
         ]
-        assert p._scan(ks[1:], collect=True) == expected[1:]
+        assert_scan(p._scan(ks[1:], collect=True), expected[1:], p._int64_safe(ks[-1]))
         for k, e in zip(ks, expected):
-            assert p._scan([k], collect=True) == [e]
+            assert_scan(p._scan([k], collect=True), [e], p._int64_safe(k))
 
 
 def level_facets(level):

@@ -136,3 +136,12 @@ def test_idp_memo_keys_on_the_resolved_depth():
     p = build_polytope(nonspanning_dim4_vertices())
     assert idp_check(p) is idp_check(p, max(2, p.dim - 1))
     assert idp_check(p, 2) is not idp_check(p, 5)
+
+
+def test_memo_keeps_points_as_one_read_only_array():
+    p = build_polytope(family_vertices(1))
+    build_report(p, name="family-a1")
+    points = p._points(1)
+    assert p.lattice_points(1) == frozenset(map(tuple, points.tolist()))
+    assert not any(isinstance(v, frozenset) for v in p._memo.values())
+    assert not points.flags.writeable
