@@ -55,8 +55,8 @@ class EhrhartProfile:
 
 
 def ehrhart_profile(p: Polytope, kmax: int | None = None) -> EhrhartProfile:
-    """Count the first kmax dilates (default: the ambient dimension), all but
-    P itself in one walk."""
+    """Count the first kmax dilates (default: the ambient dimension) in one
+    walk."""
     kmax = p.dim if kmax is None else kmax
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")

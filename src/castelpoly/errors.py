@@ -29,10 +29,10 @@ class NotFullDimensional(CastelpolyError):
 class BudgetExceeded(CastelpolyError):
     """A dilate scan would exceed the configured fiber budget."""
 
-    def __init__(self, needed: int, budget: int, what: str = "dilate scan"):
+    def __init__(self, needed: int, budget: int):
         self.needed = needed
         self.budget = budget
-        super().__init__(f"{what} needs {needed} fibers, budget is {budget}")
+        super().__init__(f"dilate scan needs {needed} fibers, budget is {budget}")
 
 
 class InvariantViolation(CastelpolyError):

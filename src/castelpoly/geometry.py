@@ -30,9 +30,9 @@ through it parallel to axis c. Each keeps the vertices of P that project
 into it, so the hull's ridge test holds at every level. The projections of
 kP are k times those of P, so the chain, and everything else that does not
 depend on k, is worked out once per polytope, and one walk serves all the
-dilates of a request, each row labelled with its k. P itself walks the box
-of the coordinates but the last: the chain with no projection level. The
-scan budget counts the fibers of that box, for every dilate.
+dilates of a request, each row labelled with its k. A walk of P alone walks
+its box of the coordinates but the last; any walk that reaches beyond P
+takes the whole chain. The scan budget counts that box's fibers per dilate.
 
 A collecting walk keeps its last level's rows (k, x) and sorts them once,
 by k and then lexicographically in the standard coordinates. Each dilate's
@@ -406,15 +406,16 @@ def _level(facets, axes, axis, prefix, los, his):
 class _ScanPlan(NamedTuple):
     """What :meth:`Polytope._scan` needs of P for every dilate: the corners
     of P's bounding box, with the largest |x_i| on it and its widest side;
-    the walk's coordinate ``order``; and the level of P itself, which adds
-    the last coordinate of the order to the others."""
+    the walk's coordinate ``order``; and the ``levels`` of the projections
+    P_2, ..., P_{n-1} and of P = P_n itself, in walk order, the level of
+    P_m adding the m-th coordinate of the order to the ones before it."""
 
     los: list[int]
     his: list[int]
     reach: int
     width: int
     order: list[int]
-    last: _Level
+    levels: list[_Level]
 
 
 def memo(fn):
@@ -430,6 +431,13 @@ def memo(fn):
         return table[key]
 
     return cached
+
+
+def _dilation(k):
+    """k, refused before it reaches a memo when negative; 0P is the origin."""
+    if k < 0:
+        raise ValueError("dilation factor must be >= 0")
+    return k
 
 
 class Polytope:
@@ -504,37 +512,26 @@ class Polytope:
         dropped = sorted(range(n), key=lambda i: los[i] - his[i])
         order = dropped[::-1]
         facets = [(f.normal, f.offset, f.vertices) for f in self.facets]
+        levels = [_level(facets, range(n), order[-1], order[:-1], los, his)]
+        axes = list(range(n))
+        for m in range(n - 1, 1, -1):
+            facets = _project(facets, axes.index(order[m]))
+            axes.remove(order[m])
+            levels.append(_level(facets, axes, order[m - 1], order[: m - 1], los, his))
         return _ScanPlan(
             los=los,
             his=his,
             reach=max(max(abs(lo), abs(hi)) for lo, hi in zip(los, his)),
             width=max(hi - lo for lo, hi in zip(los, his)),
             order=order,
-            last=_level(facets, range(n), order[-1], order[:-1], los, his),
+            levels=levels[::-1],
         )
 
-    @memo
-    def _projections(self) -> list[_Level]:
-        """The levels of the projections P_2, ..., P_{n-1} in the walk order,
-        which the walks of the dilates beyond P take before P's own level;
-        built on the first such walk, since P itself needs none."""
-        plan = self._scan_plan()
-        order = plan.order
-        axes = list(range(self.dim))
-        facets = [(f.normal, f.offset, f.vertices) for f in self.facets]
-        levels = []
-        for axis in order[:1:-1]:
-            facets = _project(facets, axes.index(axis))
-            axes.remove(axis)
-            added = order[len(axes) - 1]
-            levels.append(_level(facets, axes, added, order[: len(axes) - 1], plan.los, plan.his))
-        return levels[::-1]
-
     def _levels(self, k) -> list[_Level]:
-        """The levels of the walk of kP: P's own for P, which walks the box
-        of the other coordinates, and every projection's for larger k."""
-        last = self._scan_plan().last
-        return [last] if k == 1 else [*self._projections(), last]
+        """The levels of a walk whose largest dilate is kP: P's own alone for
+        P, from the box of the other coordinates, and the whole chain beyond."""
+        levels = self._scan_plan().levels
+        return levels[-1:] if k == 1 else levels
 
     def _box_fibers(self, k) -> int:
         """The fibers of the box walk of kP, which the scan budget counts."""
@@ -566,11 +563,11 @@ class Polytope:
         x_c >= -floor(r / -a_c) if a_c < 0, and r >= 0 if a_c = 0. The last
         level is P itself: its intervals, summed per k, are the counts, and
         on integers a.x < k b means a.x <= k b - 1, so the same bounds on
-        r - 1 give the interior counts in the same pass. A walk that holds P
-        itself takes P's level alone, from the box of the other coordinates:
-        at k = 1 the projections save too few fibers to pay for their
-        levels. Every other walk starts from the box of the first
-        coordinate, which is P_1, and takes every level.
+        r - 1 give the interior counts in the same pass. A walk of P alone
+        takes P's level alone, from the box of the other coordinates: at
+        k = 1 the projections save too few fibers to pay for their levels.
+        Any other walk starts from the box of the first coordinate, which is
+        P_1, and takes every level (see :meth:`_levels`).
         The arithmetic is int64 when :meth:`_int64_safe` allows it and
         Python ints otherwise. Raises :class:`BudgetExceeded` for the first
         k whose box walk has more than ``budget`` fibers.
@@ -585,7 +582,7 @@ class Polytope:
             if fibers > self.budget:
                 raise BudgetExceeded(fibers, self.budget)
         plan = self._scan_plan()
-        levels = self._levels(ks[0])
+        levels = self._levels(ks[-1])
         start = plan.order[: self.dim - len(levels)]
         dtype = np.int64 if self._int64_safe(ks[-1]) else object
         steps = [
@@ -599,25 +596,24 @@ class Polytope:
         chunks = []
 
         def extend(depth, rows):
+            # at most level.rows rows: _box_rows and _expand cap them so
             level, homogeneous, div = steps[depth]
-            for at in range(0, len(rows), level.rows):
-                part = rows[at : at + level.rows]
-                r = homogeneous @ part.T
-                first, lengths = _fiber_intervals(r, level.runs, div, level.nneg, level.npos)
-                if depth + 1 < len(steps):
-                    for more in _expand(part, first, lengths[0], steps[depth + 1][0].rows):
-                        extend(depth + 1, more)
-                    continue
-                # rows run in ascending k; sum the lengths up to each k's end
-                ends = np.searchsorted(part[:, 0], labels, side="right")
-                totals = np.zeros((2, len(part) + 1), dtype=dtype)
-                np.cumsum(lengths, axis=1, out=totals[:, 1:])
-                running = totals[:, ends].tolist()
-                for i in range(len(ks)):
-                    closed[i] += running[0][i] - (running[0][i - 1] if i else 0)
-                    interior[i] += running[1][i] - (running[1][i - 1] if i else 0)
-                if collect:
-                    chunks.extend(_expand(part, first, lengths[0], level.rows))
+            r = homogeneous @ rows.T
+            first, lengths = _fiber_intervals(r, level.runs, div, level.nneg, level.npos)
+            if depth + 1 < len(steps):
+                for more in _expand(rows, first, lengths[0], steps[depth + 1][0].rows):
+                    extend(depth + 1, more)
+                return
+            # rows run in ascending k; sum the lengths up to each k's end
+            ends = np.searchsorted(rows[:, 0], labels, side="right")
+            totals = np.zeros((2, len(rows) + 1), dtype=dtype)
+            np.cumsum(lengths, axis=1, out=totals[:, 1:])
+            running = totals[:, ends].tolist()
+            for i in range(len(ks)):
+                closed[i] += running[0][i] - (running[0][i - 1] if i else 0)
+                interior[i] += running[1][i] - (running[1][i - 1] if i else 0)
+            if collect:
+                chunks.extend(_expand(rows, first, lengths[0], level.rows))
 
         for rows in _box_rows(ks, plan.los, plan.his, start, steps[0][0].rows, dtype):
             extend(0, rows)
@@ -632,34 +628,31 @@ class Polytope:
 
     def count_dilates(self, ks) -> None:
         """Count the dilates kP for the k >= 1 in ``ks`` that are not counted
-        yet, with as few walks as the budget allows: one for P itself, which
-        walks its box, and one for all larger dilates, over the projections.
-        The walks stop before the first dilate over the budget, which raises
-        :class:`BudgetExceeded` only when its count is asked for."""
+        yet, all in one walk, whose levels :meth:`_levels` picks from its
+        largest dilate. The walk stops before the first dilate over the
+        budget, which raises :class:`BudgetExceeded` only when its count is
+        asked for."""
         todo = sorted({k for k in ks if k >= 1 and ("Polytope._counts", k) not in self._memo})
         todo = list(itertools.takewhile(lambda k: self._box_fibers(k) <= self.budget, todo))
-        for walk in ([k for k in todo if k == 1], [k for k in todo if k > 1]):
-            if walk:
-                for k, (closed, interior, _) in zip(walk, self._scan(walk, collect=False)):
-                    self._memo[("Polytope._counts", k)] = (closed, interior)
+        if todo:
+            for k, (closed, interior, _) in zip(todo, self._scan(todo, collect=False)):
+                self._memo[("Polytope._counts", k)] = (closed, interior)
 
     @memo
     def _counts(self, k):
-        """(closed, interior) lattice-point counts of kP."""
+        """(closed, interior) lattice-point counts of kP; 0P is the origin."""
+        if k == 0:
+            return 1, 0
         ((closed, interior, _),) = self._scan([k], collect=False)
         return closed, interior
 
     def lattice_count(self, k: int) -> int:
         """|kP intersect Z^n| without materializing the point set."""
-        if k == 0:
-            return 1
-        return self._counts(k)[0]
+        return self._counts(_dilation(k))[0]
 
     def interior_lattice_count(self, k: int) -> int:
         """Lattice points in the interior of kP; the interior of 0P is empty."""
-        if k == 0:
-            return 0
-        return self._counts(k)[1]
+        return self._counts(_dilation(k))[1]
 
     @memo
     def _points(self, k: int) -> np.ndarray:
@@ -677,7 +670,7 @@ class Polytope:
 
     def lattice_points(self, k: int) -> frozenset[LatticePoint]:
         """The integer points of the dilate kP; 0P is the origin."""
-        return frozenset(map(tuple, self._points(k).tolist()))
+        return frozenset(map(tuple, self._points(_dilation(k)).tolist()))
 
     def interior_lattice_points(self, k: int) -> frozenset[LatticePoint]:
         """Integer points strictly inside kP (filtered from the closed set)."""

@@ -202,9 +202,17 @@ def test_interior_count_of_zeroth_dilate():
     assert p.lattice_points(0) == frozenset([(0, 0)])
     assert p._points(0).tolist() == [[0, 0]]
     assert p.interior_lattice_points(0) == frozenset()
-    for method in (p.lattice_count, p.lattice_points, p.interior_lattice_count):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            method(-1)
+
+
+@pytest.mark.parametrize(
+    "accessor",
+    ["lattice_count", "interior_lattice_count", "lattice_points", "interior_lattice_points"],
+)
+def test_negative_dilate_is_refused(accessor):
+    p = standard_simplex(2)
+    with pytest.raises(ValueError, match=r"^dilation factor must be >= 0$"):
+        getattr(p, accessor)(-1)
+    assert p._memo == {}
 
 
 def force_python_ints():
@@ -276,11 +284,13 @@ def test_fiber_scan_matches_box_oracle(python_ints, cloud):
     ks = list(range(1, 2 * p.dim + 1))
     expected = [box_scan(p, k) for k in ks]
     with force_python_ints() if python_ints else nullcontext():
-        # one batched walk for every dilate but P, which walks its box
+        # one batched walk for every dilate, P too, over the projections
         p.count_dilates(ks)
         assert [(p.lattice_count(k), p.interior_lattice_count(k)) for k in ks] == [
             e[:2] for e in expected
         ]
+        # P alone walks its box, also when it only counts
+        assert p._scan([1], collect=False) == [(*expected[0][:2], None)]
         assert_scan(p._scan(ks[1:], collect=True), expected[1:], p._int64_safe(ks[-1]))
         for k, e in zip(ks, expected):
             assert_scan(p._scan([k], collect=True), [e], p._int64_safe(k))
@@ -319,7 +329,7 @@ def test_projection_levels_match_hull_oracle(cloud):
     except NotFullDimensional:
         return
     plan = p._scan_plan()
-    levels = [*p._projections(), plan.last]
+    levels = plan.levels
     assert [level.axis for level in levels] == plan.order[len(plan.order) - len(levels) :]
     for level in levels:
         axes = plan.order[: plan.order.index(level.axis) + 1]
@@ -343,6 +353,24 @@ def test_walk_chunks_stay_within_bound(monkeypatch):
     monkeypatch.setattr(geometry, "_fiber_intervals", spy)
     hstar(cross_polytope(7))
     assert len(seen) > 7 and max(seen) <= _CHUNK_ENTRIES
+
+
+# the walk's shape comes from its largest dilate: P alone walks the box of
+# the coordinates but the last, and any walk beyond P starts from P_1
+@pytest.mark.parametrize("collect", [False, True], ids=["count", "collect"])
+def test_walk_shape_follows_largest_dilate(monkeypatch, collect):
+    starts = []
+    real = geometry._box_rows
+
+    def spy(ks, los, his, axes, *args):
+        starts.append((tuple(ks), len(axes)))
+        return real(ks, los, his, axes, *args)
+
+    monkeypatch.setattr(geometry, "_box_rows", spy)
+    p = nonspanning_dim4()
+    for ks in ([1], [1, 2, 3, 4], [2], [3, 4]):
+        p._scan(ks, collect)
+    assert starts == [((1,), 3), ((1, 2, 3, 4), 1), ((2,), 1), ((3, 4), 1)]
 
 
 SQUARE_PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]

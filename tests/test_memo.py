@@ -48,11 +48,11 @@ def test_report_runs_one_volume_pass(monkeypatch, vertices):
 
 # Collecting scans of the dilates that the spanning, IDP and pulling steps
 # read, and count scans of the other dilates that hstar, degree and the
-# audit's Ehrhart round trip read. hstar counts all its dilates beyond P in
-# one walk, and so does the round trip; no dilate is scanned twice in the
-# same mode, and a collecting scan also serves the counts of its dilate. The
-# report runs IDP before hstar and the audit pulls before it counts, so
-# each collects first.
+# audit's Ehrhart round trip read. hstar counts all its dilates not yet
+# counted in one walk, P too when nothing collected it first, and so does
+# the round trip; no dilate is scanned twice in the same mode, and a
+# collecting scan also serves the counts of its dilate. The report runs IDP
+# before hstar and the audit pulls before it counts, so each collects first.
 # Each case pins the walks, as (dilates, collect), and the number of dilate
 # scans they hold, which names the case.
 @pytest.mark.parametrize(
@@ -92,6 +92,13 @@ def test_report_runs_one_volume_pass(monkeypatch, vertices):
             1,
             [((3,), True)],
             id="vertices4-<lambda>-1",
+        ),
+        pytest.param(
+            nonspanning_dim4_vertices(),
+            hstar,
+            4,
+            [((1, 2, 3, 4), False)],
+            id="vertices5-hstar-4",
         ),
     ],
 )
