@@ -5,8 +5,8 @@ with s in (k-1)P and y in P. Points get integer keys in one row-major box
 that holds kP - P, so key(t - y) = key(t) - key(y), and each y in P looks up
 the points of kP not yet covered in the sorted keys of (k-1)P at once. Each
 dilate's points come in lexicographic order, which is key order in a
-row-major box, so the keys come sorted. They are int64 when the box's size
-fits, and Python ints otherwise.
+row-major box, so the keys come sorted. The box's size is their bound under
+the one overflow rule of ``geometry``.
 
 The Castelnuovo decision is implemented twice on purpose:
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .exact_linalg import IntMatrix, hermite_basis, snf
 from .ehrhart import HStarVector, degree, hstar
-from .geometry import _INT64_MAX, LatticePoint, Polytope, memo
+from .geometry import LatticePoint, Polytope, _exact_dtype, memo
 
 STATUS_CERTIFIED = "certified-idp"
 STATUS_PARTIAL = "checked-up-to-kmax"
@@ -112,15 +112,6 @@ def idp_check(p: Polytope, kmax: int | None = None) -> IdpVerdict:
     return _idp_up_to(p, max(2, p.dim - 1) if kmax is None else kmax)
 
 
-def _int64_keys(widths) -> bool:
-    """Whether the lookups of :func:`_idp_up_to` in a box with these widths
-    fit in int64. A key is a point's row-major index less the origin's, so
-    it, each term x_i * stride_i and partial sum of it, and each difference
-    key(t) - key(y) lies strictly between minus and plus the box's size,
-    which also ends the lookup table."""
-    return prod(widths) <= _INT64_MAX
-
-
 @memo
 def _idp_up_to(p: Polytope, k_top: int) -> IdpVerdict:
     """:func:`idp_check` to the resolved depth ``k_top``.
@@ -133,6 +124,9 @@ def _idp_up_to(p: Polytope, k_top: int) -> IdpVerdict:
     order on the box. The points come in lexicographic order, so their keys
     come sorted, and each y in P looks up the keys of kP not yet covered,
     less key(y), among those of (k-1)P in one ``searchsorted``.
+    A key, each term x_i * stride_i and partial sum of it, and each
+    difference key(t) - key(y) lie strictly between minus and plus the
+    box's size, which also ends the lookup table: it is the pass's bound.
     """
     lo = [min(c) for c in zip(*p.vertices)]
     w = [max(c) - m for c, m in zip(zip(*p.vertices), lo)]
@@ -146,7 +140,7 @@ def _idp_up_to(p: Polytope, k_top: int) -> IdpVerdict:
     for k in range(2, k_top + 1):
         target = translated(k)
         widths = [(k + 1) * x + 1 for x in w]
-        dtype = np.int64 if _int64_keys(widths) else object
+        dtype = _exact_dtype(prod(widths))
         stride = np.array([prod(widths[i + 1 :]) for i in range(p.dim)], dtype=dtype)
         # the box's size, above every key, ends the table so that a lookup
         # past the last key of (k-1)P reads a value that matches nothing

@@ -40,19 +40,23 @@ points are then one (N, n) array in that order, of the walk's dtype, which
 the spanning, IDP and pulling steps read as it is; ``lattice_points``
 builds the public frozenset from it on demand.
 
-The arithmetic is int64 numpy when no intermediate can overflow, and Python
-ints otherwise, so results are exact on every path. Projected normals grow,
-so each level has its own bound: let B be the largest |b| + sum over the
-earlier coordinates i of |a_i| * max |x_i| over the level's facets, x
-ranging over P's box. Then kB bounds |r| and every partial sum of
-(k, x') . (b, -a'), so r - 1, the floor quotients and their negations stay
-within kB + 1, and an interval length within 2kB + 3. A non-empty interval
-lies in the box of kP, so its length is at most kW + 1, with W the widest
-side of P's box. The running sums of the lengths over a chunk of at most R
-rows, which place the new rows and sum the counts per k, are at most
+One rule keeps every array pass exact: a pass proves a bound on all it
+computes, and :func:`_exact_dtype` runs it on int64 numpy when the bound is
+at most 2^63 - 1 and on Python ints otherwise. The passes are the dilate
+walk, the IDP keys and the triangulation's root slacks, simplex volumes and
+face keys; each states its bound beside its code. Projected normals grow, so
+each level of the walk has its own: let B be the largest |a_c| and |b| + sum
+over the earlier coordinates i of |a_i| * max |x_i| over the level's facets,
+x ranging over P's box. Every max |x_i| is at least 1 on a full-dimensional
+P, so B bounds the level's arrays, and kB bounds |r| and every partial sum
+of (k, x') . (b, -a'), so r - 1, the floor quotients and their negations
+stay within kB + 1, and an interval length within 2kB + 3. A non-empty
+interval lies in the box of kP, so its length is at most kW + 1, with W the
+widest side of P's box. The running sums of the lengths over a chunk of at
+most R rows, which place the new rows and sum the counts per k, are at most
 R(kW + 1), and a new coordinate, the first point of its interval plus its
-offset, stays within k max |x_i| + R(kW + 1). Int64 is used when these
-bounds are at most 2^63 - 1 at every level of the walk.
+offset, stays within k max |x_i| + R(kW + 1). The largest of these bounds
+over the levels of a walk is its bound (:meth:`Polytope._walk_bound`).
 """
 
 from __future__ import annotations
@@ -84,6 +88,13 @@ DEFAULT_BUDGET = 10**8
 _INT64_MAX = 2**63 - 1
 # entries of the fibers-by-facets array of one chunk of a dilate scan
 _CHUNK_ENTRIES = 1 << 18
+
+
+def _exact_dtype(bound):
+    """The dtype of an array pass whose every value is at most ``bound`` in
+    absolute value: int64 when the bound fits, Python ints otherwise. The
+    one comparison with int64's range; it reads ``_INT64_MAX`` when called."""
+    return np.int64 if bound <= _INT64_MAX else object
 
 
 @dataclass(frozen=True, order=True)
@@ -357,10 +368,9 @@ class _Level(NamedTuple):
     positive values; ``homogeneous`` holds the rows (b, -a') with a' the
     normal on the walk's earlier coordinates, so that it maps a row (k, x')
     to the slacks k b - a'.x'; ``div`` holds |a_axis| per run (1 for
-    a_axis = 0), both as Python ints, and ``int64`` holds the two as int64
-    arrays, or None if an entry does not fit; ``rows`` is the walk rows per
-    chunk, and ``bound`` is max |b| + sum |a_i| max |x_i| over the facets,
-    x' ranging over P's box."""
+    a_axis = 0), each of the dtype its bound allows; ``rows`` is the walk
+    rows per chunk, and ``bound`` is max |a_axis| or, if larger,
+    max |b| + sum |a_i| max |x_i| over the facets, x' ranging over P's box."""
 
     axis: int
     runs: list[tuple[int, int]]
@@ -368,7 +378,6 @@ class _Level(NamedTuple):
     npos: int
     homogeneous: np.ndarray
     div: np.ndarray
-    int64: tuple[np.ndarray, np.ndarray] | None
     rows: int
     bound: int
 
@@ -386,20 +395,17 @@ def _level(facets, axes, axis, prefix, los, his):
     homogeneous = np.array([[b, *(-a[i] for i in earlier)] for a, b, _ in facets], dtype=object)
     div = np.array([[abs(v) or 1] for v in values], dtype=object)
     reach = np.array([1, *(max(abs(los[i]), abs(his[i])) for i in prefix)], dtype=object)
-    try:
-        int64 = (homogeneous.astype(np.int64), div.astype(np.int64))
-    except OverflowError:
-        int64 = None
+    bound = max((abs(homogeneous) @ reach).max(), div.max())
+    dtype = _exact_dtype(bound)
     return _Level(
         axis=axis,
         runs=[(bisect_left(column, v), bisect_right(column, v)) for v in values],
         nneg=bisect_left(values, 0),
         npos=len(values) - bisect_right(values, 0),
-        homogeneous=homogeneous,
-        div=div,
-        int64=int64,
+        homogeneous=homogeneous.astype(dtype),
+        div=div.astype(dtype),
         rows=max(1, _CHUNK_ENTRIES // len(facets)),
-        bound=(abs(homogeneous) @ reach).max(),
+        bound=bound,
     )
 
 
@@ -500,8 +506,8 @@ class Polytope:
         """The part of every dilate scan that does not depend on k.
 
         The projections of kP are k times those of P, so the walk order, the
-        facet runs and the normals are the same for every k; each int64
-        bound of :meth:`_int64_safe` is affine in k. The chain of
+        facet runs and the normals are the same for every k; the walk's
+        bound (:meth:`_walk_bound`) is affine in k. The chain of
         projections drops the widest remaining axis of P's box at each step,
         the first of equals, and the walk adds the axes in the reverse
         order: its last level is the fiber step along the widest axis.
@@ -538,17 +544,14 @@ class Polytope:
         plan = self._scan_plan()
         return prod(k * (plan.his[i] - plan.los[i]) + 1 for i in plan.order[:-1])
 
-    def _int64_safe(self, k) -> bool:
-        """Whether every intermediate of the walks of the dilates up to kP
-        fits in int64 (see the module docstring for the bounds)."""
+    def _walk_bound(self, k) -> int:
+        """The bound of the walk of the dilates up to kP (see the module
+        docstring)."""
         plan = self._scan_plan()
         levels = self._levels(k)
         bound = max(level.bound for level in levels)
         rows = max(level.rows for level in levels)
-        return (
-            all(level.int64 for level in levels)
-            and max(2 * k * bound + 3, k * plan.reach + rows * (k * plan.width + 1)) <= _INT64_MAX
-        )
+        return max(2 * k * bound + 3, k * plan.reach + rows * (k * plan.width + 1))
 
     def _scan(self, ks, collect: bool):
         """Count, and optionally collect, the lattice points of the dilates
@@ -568,9 +571,9 @@ class Polytope:
         k = 1 the projections save too few fibers to pay for their levels.
         Any other walk starts from the box of the first coordinate, which is
         P_1, and takes every level (see :meth:`_levels`).
-        The arithmetic is int64 when :meth:`_int64_safe` allows it and
-        Python ints otherwise. Raises :class:`BudgetExceeded` for the first
-        k whose box walk has more than ``budget`` fibers.
+        The dtype is :func:`_exact_dtype` of :meth:`_walk_bound`. Raises
+        :class:`BudgetExceeded` for the first k whose box walk has more than
+        ``budget`` fibers.
 
         Returns (closed_count, interior_count, points or None) per k, the
         points as an (N, n) array in lexicographic order, of the walk's dtype.
@@ -584,9 +587,9 @@ class Polytope:
         plan = self._scan_plan()
         levels = self._levels(ks[-1])
         start = plan.order[: self.dim - len(levels)]
-        dtype = np.int64 if self._int64_safe(ks[-1]) else object
+        dtype = _exact_dtype(self._walk_bound(ks[-1]))
         steps = [
-            (level, *(level.int64 if dtype is np.int64 else (level.homogeneous, level.div)))
+            (level, level.homogeneous.astype(dtype, copy=False), level.div.astype(dtype, copy=False))
             for level in levels
         ]
         labels = np.array(ks, dtype=dtype)
@@ -657,8 +660,8 @@ class Polytope:
     @memo
     def _points(self, k: int) -> np.ndarray:
         """The integer points of the dilate kP as a read-only (N, n) array
-        in lexicographic order: int64 when :meth:`_int64_safe` holds for k,
-        and Python ints otherwise. 0P is the origin."""
+        in lexicographic order, of the dtype of its walk (see :meth:`_scan`).
+        0P is the origin."""
         if k == 0:
             pts = np.zeros((1, self.dim), dtype=np.int64)
         else:

@@ -54,12 +54,12 @@ The work around the pulling loop has no dependency from one item to the
 next and runs as one array pass each: the root slacks are one matrix
 product, the volumes of all maximal simplices one batched fraction-free
 Bareiss elimination (Bareiss, Math. Comp. 22, 1968), and the faces of each
-size in :func:`h_vector` one count of distinct integer keys. Each pass is
-int64 numpy when a bound rules out overflow and Python ints otherwise:
+size in :func:`h_vector` one count of distinct integer keys. Each pass has
+its bound under the one overflow rule of ``geometry``:
 
-* slacks: max over the facets of |b| + max|x_i| * sum |a_i| <= 2^63 - 1;
-* volumes: 2 n^n W^(2n) <= 2^63 - 1, W the widest side of the points' box;
-* face keys: m^(n+1) <= 2^63 - 1, m the number of points.
+* slacks: max over the facets of |b| + max|x_i| * sum |a_i|;
+* volumes: 2 n^n W^(2n), W the widest side of the points' box;
+* face keys: m^(n+1), m the number of points.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import numpy as np
 from .ehrhart import hstar, normalized_volume
 from .errors import InvariantViolation
 from .exact_linalg import det
-from .geometry import _INT64_MAX, LatticePoint, Polytope, _dot, _ridge_pencils, memo
+from .geometry import LatticePoint, Polytope, _dot, _exact_dtype, _ridge_pencils, memo
 
 
 def _volumes(points, simplices, n) -> tuple[int, ...]:
@@ -84,14 +84,14 @@ def _volumes(points, simplices, n) -> tuple[int, ...]:
     Each matrix swaps in its own pivot row. Every intermediate is a minor of
     an edge matrix, so with W the widest side of the points' box it is at
     most H = (sqrt(n) W)^n by Hadamard's inequality, and a numerator at most
-    2 H^2. The arithmetic is int64 when 2 n^n W^(2n) <= 2^63 - 1 and Python
-    ints otherwise. Raises :class:`InvariantViolation` on a degenerate
-    simplex or an inexact division.
+    2 H^2, so 2 n^n W^(2n) is the pass's bound. Raises
+    :class:`InvariantViolation` on a degenerate simplex or an inexact
+    division.
     """
     pts = np.array(points, dtype=object)
     lo = pts.min(axis=0)
     width = max(pts.max(axis=0) - lo)
-    dtype = np.int64 if 2 * n**n * width ** (2 * n) <= _INT64_MAX else object
+    dtype = _exact_dtype(2 * n**n * width ** (2 * n))
     pts = (pts - lo).astype(dtype)
     idx = np.array(simplices, dtype=np.intp).reshape(-1, n + 1)
     a = pts[idx[:, 1:]] - pts[idx[:, :1]]
@@ -117,13 +117,13 @@ def _volumes(points, simplices, n) -> tuple[int, ...]:
 
 def _root_slacks(p: Polytope, points) -> list[list[int]]:
     """Slacks b - a.x of every row x of the integer array ``points`` against
-    every facet of P, in one matrix product. Each partial sum of a.x is at most max|x_i| * sum |a_i|, so the
-    product is int64 when |b| plus that bound is at most 2^63 - 1 for every
-    facet, and Python ints otherwise."""
+    every facet of P, in one matrix product. Each partial sum of a.x is at
+    most max|x_i| * sum |a_i|, so the pass's bound is the largest |b| plus
+    that over the facets."""
     # |x_i| is convex, so its largest value over P is taken at a vertex
     reach = max(abs(c) for v in p.vertices for c in v)
     bound = max(abs(f.offset) + reach * sum(map(abs, f.normal)) for f in p.facets)
-    dtype = np.int64 if bound <= _INT64_MAX else object
+    dtype = _exact_dtype(bound)
     normals = np.array([f.normal for f in p.facets], dtype=dtype)
     offsets = np.array([f.offset for f in p.facets], dtype=dtype)
     return (offsets - points.astype(dtype) @ normals.T).tolist()
@@ -149,19 +149,28 @@ class HVector:
     h: tuple[int, ...]
 
 
-def _exits(sigma, s, up):
-    """The facets g in ``up`` (those with s_g > 0) of least sigma_g / s_g,
-    compared by cross-multiplication: the facets through which the ray from
-    q, with slacks s, through a point with slacks sigma leaves the cell."""
-    exits = [up[0]]
-    for h in up[1:]:
-        g = exits[0]
-        c = sigma[h] * s[g] - sigma[g] * s[h]
-        if c < 0:
-            exits = [h]
-        elif c == 0:
-            exits.append(h)
-    return exits
+def _ray_exit_split(held):
+    """The first held point q of a cell, as (index, slacks s), and for each
+    facet g with s_g > 0 the later points in the cone q * G: those whose
+    slacks sigma reach the least sigma_g / s_g there, compared by
+    cross-multiplication, as the ray from q through them leaves the cell
+    through G. Volume coordinates serve as slacks too."""
+    (iq, s), later = held[0], held[1:]
+    inside = {g: [] for g, sg in enumerate(s) if sg > 0}
+    up = list(inside)
+    for x in later:
+        sigma = x[1]
+        exits = [up[0]]
+        for h in up[1:]:
+            g = exits[0]
+            c = sigma[h] * s[g] - sigma[g] * s[h]
+            if c < 0:
+                exits = [h]
+            elif c == 0:
+                exits.append(h)
+        for g in exits:
+            inside[g].append(x)
+    return iq, s, inside
 
 
 def _simplex_entry(points, on, iq, s_g, pencils, inherited):
@@ -201,17 +210,12 @@ def _pull_simplex(verts, vol, held):
     volume, points with their volume coordinates) over the facets that miss
     q, i.e. one for each i with beta_i(q) > 0. Cone i replaces vertex i by q
     and has volume beta_i(q)."""
-    (iq, bq), later = held[0], held[1:]
-    up = [i for i, b in enumerate(bq) if b > 0]
-    inside = {i: [] for i in up}
-    for x in later:
-        for i in _exits(x[1], bq, up):
-            inside[i].append(x)
+    iq, bq, inside = _ray_exit_split(held)
     cones = []
-    for i in up:
+    for i, members in inside.items():
         bi = bq[i]
         pulled = []
-        for j, beta in inside[i]:
+        for j, beta in members:
             b = beta[i]
             # Cramer's rule makes the division exact; the i-th term is 0
             new = [(bi * y - z * b) // vol for y, z in zip(beta, bq)]
@@ -246,25 +250,20 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
         facets, held = stack.pop()
         if not held:
             raise InvariantViolation("pulling popped a cell with no point to pull")
-        (iq, s), later = held[0], held[1:]
-        up = [g for g, sg in enumerate(s) if sg > 0]
-        inside = {g: [] for g in up}
-        for x in later:
-            for g in _exits(x[1], s, up):
-                inside[g].append(x)
-        for g in up:
+        iq, s, inside = _ray_exit_split(held)
+        for g, members in inside.items():
             on = facets[g][2]
             if len(on) == n:
                 # a simplex cone: pulling one of its own vertices rebuilds it
-                inside[g] = [x for x in inside[g] if x[0] not in on]
-                if not inside[g]:
+                members = [x for x in members if x[0] not in on]
+                if not members:
                     cells.append(tuple(sorted(on | {iq})))
                     continue
             pencils = list(_ridge_pencils(facets, s, g, range(len(facets)), iq))
             # the pencil facet's slack is (s_G sigma_H - s_H sigma_G) / d
             inherited = [
                 (i, (sigma[g], *((s[g] * sigma[h] - s[h] * sigma[g]) // d for h, d, _ in pencils)))
-                for i, sigma in inside[g]
+                for i, sigma in members
             ]
             if len(on) == n:
                 simplex_cells.append(_simplex_entry(points, on, iq, s[g], pencils, inherited))
@@ -297,12 +296,11 @@ def h_vector(t: Triangulation) -> HVector:
     The r-subsets of the sorted maximal simplices are the faces with r
     vertices; the subset idx_0 < ... < idx_{r-1} of indices into m points
     gets the key sum_j idx_j m^j, and f_{r-1} is the number of distinct
-    keys, counted in one sort. Keys are below m^d, so they are int64 when
-    m^d <= 2^63 - 1 and Python ints otherwise.
+    keys, counted in one sort. Keys are below m^d, the pass's bound.
     """
     d = t.dim + 1
     m = len(t.points)
-    dtype = np.int64 if m**d <= _INT64_MAX else object
+    dtype = _exact_dtype(m**d)
     simplices = np.array(t.maximal_simplices, dtype=dtype).reshape(-1, d)
     weights = np.array([m**j for j in range(d)], dtype=dtype)
     f = [1]  # f[i] = number of faces with i vertices; f[0] is the empty face

@@ -1,11 +1,14 @@
 """Shared polytope builders for the test suite, on the registry's vertex data."""
 
 import itertools
+from contextlib import nullcontext
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
+from castelpoly import geometry
 from castelpoly.exact_linalg import IntMatrix, rank
 from castelpoly.geometry import Facet, _cross, _dot, _primitive, build_polytope
 from castelpoly.registry import (
@@ -15,6 +18,24 @@ from castelpoly.registry import (
     square_2x2_vertices,
     standard_simplex_vertices,
 )
+
+
+def exact_route(python_ints, module=None):
+    """The one switch between the two routes of the exact array passes: a
+    context in which every pass runs on Python ints, as beyond the int64
+    bound, or only the passes of ``module``; a null context when
+    ``python_ints`` is false. ``geometry._exact_dtype`` reads ``_INT64_MAX``
+    when it is called and no bound is negative, so one patch of it reaches
+    every pass."""
+    if not python_ints:
+        return nullcontext()
+    if module is None:
+        return mock.patch.object(geometry, "_INT64_MAX", -1)
+    return mock.patch.object(module, "_exact_dtype", lambda bound: object)
+
+
+# the two routes, as the parameter ``python_ints`` of a test
+ROUTES = pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])
 
 
 def standard_simplex(n):

@@ -1,5 +1,4 @@
-from contextlib import nullcontext
-from unittest import mock
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from castelpoly.classification import (
     STATUS_COUNTEREXAMPLE,
     STATUS_PARTIAL,
     IdpVerdict,
-    _int64_keys,
     audit_bounds,
     audit_castelnuovo_implies_idp,
     audit_degree_two_idp,
@@ -32,6 +30,8 @@ from castelpoly.geometry import build_polytope
 from castelpoly.registry import family_vertices, square_2x2_vertices
 
 from conftest import (
+    ROUTES,
+    exact_route,
     nonspanning_dim4,
     oracle_clouds,
     reflexive_simplex_3,
@@ -144,18 +144,14 @@ def sumset_idp(p, k_top):
     return IdpVerdict(status, kmax_checked=k_top)
 
 
-def force_python_int_keys():
-    """Run every IDP lookup on Python ints, as beyond the int64 key bound."""
-    return mock.patch.object(classification, "_int64_keys", lambda widths: False)
-
-
 def assert_idp_matches_oracle(p):
     for kmax in (None, 2):
         expected = sumset_idp(p, max(2, p.dim - 1) if kmax is None else kmax)
         assert idp_check(p, kmax) == expected
 
 
-@pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])
+# the IDP lookups on either route, the scans that feed them on int64
+@ROUTES
 @settings(max_examples=100, deadline=None)
 @given(cloud=oracle_clouds)
 def test_idp_matches_sumset_oracle(python_ints, cloud):
@@ -163,7 +159,7 @@ def test_idp_matches_sumset_oracle(python_ints, cloud):
         p = build_polytope(cloud)
     except NotFullDimensional:
         return
-    with force_python_int_keys() if python_ints else nullcontext():
+    with exact_route(python_ints, classification):
         assert_idp_matches_oracle(p)
 
 
@@ -174,14 +170,14 @@ EMPTY_SIMPLEX_3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]
 EMPTY_PYRAMID_4 = [(0, 0, 0, 0)] + [v + (1,) for v in EMPTY_SIMPLEX_3]
 
 
-@pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])
+@ROUTES
 @pytest.mark.parametrize(
     "points",
     [EMPTY_SIMPLEX_3, EMPTY_PYRAMID_4, family_vertices(1), square_2x2_vertices()],
     ids=["empty-simplex-3", "empty-pyramid-4", "family-a1", "square-2x2"],
 )
 def test_idp_matches_sumset_oracle_on_fixed_cases(python_ints, points):
-    with force_python_int_keys() if python_ints else nullcontext():
+    with exact_route(python_ints, classification):
         assert_idp_matches_oracle(build_polytope(points))
 
 
@@ -194,7 +190,7 @@ def test_idp_beyond_int64_is_exact():
     # sheared by x += 2^60 z, the box of 2P - P has more than 2^63 cells, so
     # the keys run on Python ints
     q = build_polytope([(x + 2**60 * z, y, z) for x, y, z in EMPTY_SIMPLEX_3])
-    assert not _int64_keys([3 * w + 1 for w in (2**61 + 1, 1, 2)])
+    assert classification._exact_dtype(prod(3 * w + 1 for w in (2**61 + 1, 1, 2))) is object
     assert_idp_matches_oracle(q)
     assert idp_check(q).witness == (2, (1 + 2**60, 1, 1))
 

@@ -1,6 +1,5 @@
 import itertools
 import re
-from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -19,13 +18,15 @@ from castelpoly.errors import (
     NotFullDimensional,
 )
 from castelpoly.exact_linalg import det
-from castelpoly.geometry import _CHUNK_ENTRIES, Polytope, _primitive, _project, build_polytope
+from castelpoly.geometry import _CHUNK_ENTRIES, _primitive, _project, build_polytope
 from castelpoly.registry import reflexive_simplex_vertices, standard_simplex_vertices
 
 from conftest import (
+    ROUTES,
     affine_dimension,
     brute_force_hull,
     cross_polytope,
+    exact_route,
     hull_clouds,
     nonspanning_dim4,
     oracle_clouds,
@@ -215,16 +216,11 @@ def test_negative_dilate_is_refused(accessor):
     assert p._memo == {}
 
 
-def force_python_ints():
-    """Run every dilate scan on Python ints, as beyond the int64 bound."""
-    return mock.patch.object(Polytope, "_int64_safe", lambda self, *args: False)
-
-
 def test_python_scan_agrees_with_numpy():
     p = build_polytope([(0, 0), (3, 1), (1, 4), (-2, -1)])
     fast = {k: p.lattice_points(k) for k in (1, 2, 3)}
     q = build_polytope([(0, 0), (3, 1), (1, 4), (-2, -1)])
-    with force_python_ints():
+    with exact_route(True, geometry):
         for k in (1, 2, 3):
             assert q.lattice_points(k) == fast[k]
             assert q.interior_lattice_count(k) == p.interior_lattice_count(k)
@@ -237,7 +233,7 @@ def test_scan_beyond_int64_is_exact():
     shift = (2**70, -(2**66))
     p = build_polytope(tri)
     q = build_polytope([(x + shift[0], y + shift[1]) for x, y in tri])
-    assert not q._int64_safe(1)
+    assert geometry._exact_dtype(q._walk_bound(1)) is object
     for k in (1, 2, 3):
         moved = sorted([x + k * shift[0], y + k * shift[1]] for x, y in p.lattice_points(k))
         assert q._points(k).dtype == object
@@ -263,17 +259,18 @@ def box_scan(p, k):
     return int(closed.sum()), int(interior.sum()), cells[closed]
 
 
-def assert_scan(got, expected, int64):
+def assert_scan(got, expected, python_ints):
     """A collecting scan gives the oracle's counts and the same points in the
-    same order, int64 exactly when the walk's bound allows it."""
+    same order, on the route that the test asks for: these small clouds walk
+    on int64 unless they are sent to Python ints."""
     assert len(got) == len(expected)
     for (closed, interior, points), (want_closed, want_interior, want) in zip(got, expected):
         assert (closed, interior) == (want_closed, want_interior)
-        assert points.dtype == (np.int64 if int64 else object)
+        assert points.dtype == (object if python_ints else np.int64)
         assert points.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "python-ints"])
+@ROUTES
 @settings(max_examples=100, deadline=None)
 @given(cloud=oracle_clouds)
 def test_fiber_scan_matches_box_oracle(python_ints, cloud):
@@ -283,7 +280,7 @@ def test_fiber_scan_matches_box_oracle(python_ints, cloud):
         return
     ks = list(range(1, 2 * p.dim + 1))
     expected = [box_scan(p, k) for k in ks]
-    with force_python_ints() if python_ints else nullcontext():
+    with exact_route(python_ints, geometry):
         # one batched walk for every dilate, P too, over the projections
         p.count_dilates(ks)
         assert [(p.lattice_count(k), p.interior_lattice_count(k)) for k in ks] == [
@@ -291,9 +288,9 @@ def test_fiber_scan_matches_box_oracle(python_ints, cloud):
         ]
         # P alone walks its box, also when it only counts
         assert p._scan([1], collect=False) == [(*expected[0][:2], None)]
-        assert_scan(p._scan(ks[1:], collect=True), expected[1:], p._int64_safe(ks[-1]))
+        assert_scan(p._scan(ks[1:], collect=True), expected[1:], python_ints)
         for k, e in zip(ks, expected):
-            assert_scan(p._scan([k], collect=True), [e], p._int64_safe(k))
+            assert_scan(p._scan([k], collect=True), [e], python_ints)
 
 
 def level_facets(level):

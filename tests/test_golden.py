@@ -3,7 +3,9 @@
 Each entry pins the exit code and the sha256 of standard output of
 ``analyze --json`` on one polytope, or of one seeded ``corpus --json`` run.
 A kernel rewrite must keep every result and every byte of the reports, so
-any change here is a change of behaviour, not of speed.
+any change here is a change of behaviour, not of speed. Every digest is
+checked on both routes of the exact array passes: as they come, which is
+int64 on these inputs, and with every pass sent to Python ints.
 """
 
 import hashlib
@@ -20,6 +22,8 @@ from castelpoly.registry import (
     square_2x2_vertices,
     standard_simplex_vertices,
 )
+
+from conftest import ROUTES, exact_route
 
 POLYTOPES = {
     **{f"standard-simplex-{n}": standard_simplex_vertices(n) for n in range(1, 6)},
@@ -57,12 +61,23 @@ def run(capsys, argv):
     return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(POLYTOPES))
-def test_analyze_json_digest(name, tmp_path, capsys):
+# the int64 case keeps the polytope's name as its id
+@pytest.mark.parametrize(
+    "name, python_ints",
+    [
+        pytest.param(name, on, id=f"{name}-python-ints" if on else name)
+        for name in sorted(POLYTOPES)
+        for on in (False, True)
+    ],
+)
+def test_analyze_json_digest(name, python_ints, tmp_path, capsys):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"name": name, "vertices": POLYTOPES[name]}))
-    assert run(capsys, ["analyze", str(path), "--json"]) == ANALYZE_DIGESTS[name]
+    with exact_route(python_ints):
+        assert run(capsys, ["analyze", str(path), "--json"]) == ANALYZE_DIGESTS[name]
 
 
-def test_corpus_json_digest(capsys):
-    assert run(capsys, CORPUS_ARGS) == CORPUS_DIGEST
+@ROUTES
+def test_corpus_json_digest(python_ints, capsys):
+    with exact_route(python_ints):
+        assert run(capsys, CORPUS_ARGS) == CORPUS_DIGEST

@@ -1,6 +1,5 @@
 import itertools
 from math import comb
-from unittest.mock import patch
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -23,6 +22,8 @@ from castelpoly.triangulation import (
 
 from conftest import (
     brute_force_facets,
+    cross_polytope,
+    exact_route,
     hull_clouds,
     nonspanning_dim4,
     oracle_clouds,
@@ -35,8 +36,8 @@ from conftest import (
 )
 
 
-# the bound of every int64 path, and a value that sends them all to Python ints
-BACKENDS = pytest.mark.parametrize("bound", [_INT64_MAX, 0], ids=["int64", "object"])
+# the triangulation's array passes as they come, and all on Python ints
+BACKENDS = pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "object"])
 
 
 def volume_oracle(vertices):
@@ -209,12 +210,6 @@ def pulling_oracle(p):
                     new_cells.append(tuple(sorted(on + (pid,))))
         cells = new_cells
     return points, tuple(sorted(cells))
-
-
-def cross_polytope(n):
-    return build_polytope(
-        [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
-    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -441,10 +436,10 @@ def simplex_batches(draw):
 @BACKENDS
 @settings(max_examples=200, deadline=None)
 @given(batch=simplex_batches())
-def test_volumes_match_oracle(bound, batch):
+def test_volumes_match_oracle(python_ints, batch):
     n, points, simplices = batch
     expected = tuple(volume_oracle([points[i] for i in s]) for s in simplices)
-    with patch.object(triangulation, "_INT64_MAX", bound):
+    with exact_route(python_ints, triangulation):
         if 0 in expected:
             with pytest.raises(InvariantViolation, match="degenerate"):
                 _volumes(points, simplices, n)
@@ -486,14 +481,14 @@ def test_degenerate_simplex_raises(points):
 @BACKENDS
 @settings(max_examples=100, deadline=None)
 @given(cloud=hull_clouds())
-def test_backends_pull_the_same_triangulation(bound, cloud):
+def test_backends_pull_the_same_triangulation(python_ints, cloud):
     # the root slacks and the volumes on either backend; each polytope is
     # built afresh because the triangulation is memoized on it
     try:
         p = build_polytope(cloud)
     except NotFullDimensional:
         return
-    with patch.object(triangulation, "_INT64_MAX", bound):
+    with exact_route(python_ints, triangulation):
         t = pulling_triangulation(p)
     assert t == pulling_triangulation(build_polytope(cloud))
     assert t.volumes == recomputed_volumes(t)
@@ -502,12 +497,12 @@ def test_backends_pull_the_same_triangulation(bound, cloud):
 @BACKENDS
 @settings(max_examples=100, deadline=None)
 @given(cloud=hull_clouds())
-def test_h_vector_matches_face_closure(bound, cloud):
+def test_h_vector_matches_face_closure(python_ints, cloud):
     try:
         t = pulling_triangulation(build_polytope(cloud))
     except NotFullDimensional:
         return
-    with patch.object(triangulation, "_INT64_MAX", bound):
+    with exact_route(python_ints, triangulation):
         assert h_vector(t) == h_vector_oracle(t)
 
 
