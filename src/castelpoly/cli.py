@@ -131,7 +131,8 @@ def _add_budget(sub):
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="max fibers (lines through the box of kP) per dilate scan (default %(default)s)",
+        help="max fibers (lines through the box of kP) walked and max points collected "
+        "per dilate scan (default %(default)s)",
     )
 
 

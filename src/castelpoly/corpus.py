@@ -189,7 +189,8 @@ def render_corpus_text(summary: dict) -> str:
     if summary["total_skipped"]:
         lines.append(
             f"{summary['total_skipped']} of {summary['count']} polytopes skipped: "
-            f"a dilate scan needed more than the budget of {summary['budget']} fibers"
+            f"a dilate scan needed more than the budget of {summary['budget']} "
+            "fibers walked or points collected"
         )
     elif not summary["failures"]:
         lines.append("all audits passed")

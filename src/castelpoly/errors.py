@@ -27,12 +27,13 @@ class NotFullDimensional(CastelpolyError):
 
 
 class BudgetExceeded(CastelpolyError):
-    """A dilate scan would exceed the configured fiber budget."""
+    """A dilate scan would exceed the configured budget: ``needed`` of
+    ``unit``, the fibers it walks or the points it collects."""
 
-    def __init__(self, needed: int, budget: int):
+    def __init__(self, needed: int, budget: int, unit: str = "fibers"):
         self.needed = needed
         self.budget = budget
-        super().__init__(f"dilate scan needs {needed} fibers, budget is {budget}")
+        super().__init__(f"dilate scan needs {needed} {unit}, budget is {budget}")
 
 
 class InvariantViolation(CastelpolyError):

@@ -4,16 +4,23 @@ dilate enumeration, edges, smoothness.
 A polytope is built from integer points only and must be full-dimensional in
 its ambient space. Its facets come from an integer beneath-beyond hull: a
 greedy starting simplex, then one point at a time, farthest from the
-simplex's centroid first, with each facet carrying the input points on it.
-The polytope's facets keep these sets, cut down to its vertices. A point set
-is a face's vertex set when it equals the meet of the facets through it (all
-points, when there are none): a point is a vertex when those facets meet in
-it alone, and two vertices span an edge when they meet in the pair. P is
-smooth when every vertex lies on exactly n facets and their normals form a
-lattice basis (Cox, Little and Schenck, Toric Varieties, section 2.4), which
-the same sets tell. The ridge-and-pencil step that adds the facets through a
-new point is shared with the pulling triangulation, which refines cells the
-same way, and with the projections of the dilate scans.
+simplex's centroid first, with each facet carrying the input points on it as
+a bitmask, sum 2^i over their indices i in the sorted distinct input points.
+The starting simplex's facets are the columns of adj(V), V the matrix of its
+homogenized vertex rows (1, v), from one fraction-free elimination. A new
+point q adds, for each facet G that it sees and each ridge that G shares
+with a facet H that it does not, the member of the pencil through the ridge
+and q, computed from G's side: multiplied by sign(s_G), s the slacks of q,
+it keeps G on its inner side whatever the sign. The polytope's facets keep
+the point sets, cut down to its vertices, as frozensets of vertex indices.
+A point set is a face's vertex set when it equals the meet, the AND of the
+masks of the facets through it (all points, when there are none): a point
+is a vertex when those facets meet in it alone, and two vertices span an
+edge when they meet in the pair. P is smooth when every vertex lies on
+exactly n facets and their normals form a lattice basis (Cox, Little and
+Schenck, Toric Varieties, section 2.4), which the same sets tell. The
+ridge-and-pencil step is shared with the pulling triangulation, which
+refines cells the same way, and with the projections of the dilate scans.
 
 Dilate scans walk a chain of coordinate projections P = P_n -> ... -> P_1,
 each dropping the widest remaining axis of P's box; the walk adds the axes
@@ -32,7 +39,9 @@ kP are k times those of P, so the chain, and everything else that does not
 depend on k, is worked out once per polytope, and one walk serves all the
 dilates of a request, each row labelled with its k. A walk of P alone walks
 its box of the coordinates but the last; any walk that reaches beyond P
-takes the whole chain. The scan budget counts that box's fibers per dilate.
+takes the whole chain. The scan budget counts that box's fibers per dilate,
+and the points that a collecting walk would expand, summed from its last
+level's interval lengths before it expands them.
 
 A collecting walk keeps its last level's rows (k, x) and sorts them once,
 by k and then lexicographically in the standard coordinates. Each dilate's
@@ -68,6 +77,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -119,26 +129,38 @@ def _primitive(vec):
     return tuple(x // g for x in vec), g
 
 
-def _cross(diffs, n):
-    """Integer normal to the hyperplane spanned by n-1 difference vectors.
-
-    Generalized cross product: entry j is (-1)^j times the minor with
-    column j deleted. All zeros means the vectors are dependent.
-    """
-    if n == 1:
-        return (1,)
-    normal = []
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in diffs]
-        normal.append((-1) ** j * det(minor))
-    return tuple(normal)
+def _mask(indices):
+    """The bitmask sum 2^i over the ``indices``."""
+    return sum(map((1).__lshift__, indices))
 
 
-def _is_face(members, sets, universe):
-    """Whether ``members`` is a face's vertex set: the meet of the facet point
-    sets in ``sets`` that hold it, or ``universe`` if none does, equals it."""
-    through = [s for s in sets if members <= s]
-    return (frozenset.intersection(*through) if through else universe) == members
+def _bits(mask):
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _through(masks, size):
+    """For each of ``size`` points, the masks in ``masks`` that hold it."""
+    through = [[] for _ in range(size)]
+    for on in masks:
+        for i in _bits(on):
+            through[i].append(on)
+    return through
+
+
+def _meet(masks, members, universe):
+    """The meet of the point sets in ``masks`` that hold all of ``members``,
+    or ``universe`` if none does: ``members`` is a face's point set when the
+    meet equals it."""
+    for on in masks:
+        if on & members == members:
+            universe &= on
+    return universe
 
 
 def _starting_simplex(points):
@@ -155,43 +177,78 @@ def _starting_simplex(points):
     return chosen
 
 
+def _simplex_facets(points, simplex):
+    """The facets of the full-dimensional simplex on the points ``simplex``,
+    the one opposite each vertex in turn, as (primitive normal, offset, mask
+    of the other vertices).
+
+    V holds the rows (1, v) of the vertices, and one fraction-free
+    Gauss-Jordan elimination of [V | I] (Bareiss, Math. Comp. 22, 1968)
+    turns it into [d I | E] with V E = d I, d = +-det V its last pivot: E is
+    adj(V) up to sign. Every entry on the way is a minor of [V | I] up to
+    sign, so each division is exact. So column j of E is the affine functional that
+    vanishes on every vertex but v_j, where it takes the value d; its
+    linear part, made primitive and pointing away from v_j, is the normal
+    of the facet opposite v_j.
+    """
+    m = len(simplex)
+    a = [[1, *points[v], *(int(r == j) for j in range(m))] for r, v in enumerate(simplex)]
+    prev = 1
+    for k in range(m):
+        p = next(r for r in range(k, m) if a[r][k])
+        a[k], a[p] = a[p], a[k]
+        pivot, row = a[k][k], a[k]
+        for r in range(m):
+            if r != k:
+                f = a[r][k]
+                a[r] = [(pivot * x - f * y) // prev for x, y in zip(a[r], row)]
+        prev = pivot
+    # orient each functional to be positive at its vertex: the facet is
+    # normal . x <= offset with normal = -sign(d) times the linear part
+    sign = 1 if prev > 0 else -1
+    everything = _mask(simplex)
+    facets = []
+    for j, v in enumerate(simplex):
+        normal, g = _primitive([-sign * row[m + j] for row in a[1:]])
+        facets.append((normal, sign * a[0][m + j] // g, everything ^ 1 << v))
+    return facets
+
+
 def _ridge_pencils(facets, slack, g, others, apex=None):
     """The hyperplanes through q and the ridges that the facet g shares with
     the facets in ``others``.
 
-    ``facets`` holds (normal a, offset b, set of point indices on it), and
-    ``slack`` the slacks s = b - a.q of a point q, with s_g > 0. G and H meet
-    in a ridge when no third facet holds all their common points; in
-    dimension 1 the two end points meet in the empty ridge. For each such H,
-    yields the member (s_g a_h - s_h a_g).x <= s_g b_h - s_h b_g of the
+    ``facets`` holds (normal a, offset b, bitmask of the point indices on
+    it), and ``slack`` the slacks s = b - a.q of a point q, with s_g != 0. G
+    and H meet in a ridge when they share at least n - 1 points and no third
+    facet holds all of them; in dimension 1 the two end points meet in the
+    empty ridge. For each such H, yields the member
+    sign(s_g) (s_g a_h - s_h a_g).x <= sign(s_g) (s_g b_h - s_h b_g) of the
     pencil of hyperplanes through G & H that passes through q, made
-    primitive, with G on its inner side and the point set G & H, plus
-    ``apex``, the index of q, when it is given. Each comes as (h, d, facet),
-    where d is the gcd that making the normal primitive divided out. The
-    slacks may also be those of a point at infinity, a direction u, with
-    s = -a.u: the pencil member is then the hyperplane through G & H
-    parallel to u.
+    primitive, with G on its inner side for either sign of s_g, and the
+    point set G & H, plus ``apex``, the index of q, when it is given. Each
+    comes as (h, d, facet), where d is the gcd that making the normal
+    primitive divided out. The slacks may also be those of a point at
+    infinity, a direction u, with s = -a.u: the pencil member is then the
+    hyperplane through G & H parallel to u.
     """
     a_g, b_g, on_g = facets[g]
+    sign = 1 if slack[g] > 0 else -1
+    s_g = sign * slack[g]
     # a ridge spans n - 2 dimensions, so it holds at least n - 1 points
     least = len(a_g) - 1
-    for h in others:
+    top = 0 if apex is None else 1 << apex
+    for h in [h for h in others if (on_g & facets[h][2]).bit_count() >= least]:
         a_h, b_h, on_h = facets[h]
         ridge = on_g & on_h
-        if h == g or len(ridge) < least or any(
-            ridge <= on for i, (_, _, on) in enumerate(facets) if i != g and i != h
-        ):
+        # G and H hold it, and a third facet that does makes it a smaller face
+        if h == g or len([on for _, _, on in facets if ridge & on == ridge]) > 2:
             continue
-        normal, d = _primitive(
-            tuple(slack[g] * x - slack[h] * y for x, y in zip(a_h, a_g))
-        )
+        s_h = sign * slack[h]
+        normal, d = _primitive([s_g * x - s_h * y for x, y in zip(a_h, a_g)])
         # a lattice point on the hyperplane (q, or a point of the ridge)
         # makes d divide the offset
-        yield h, d, (
-            normal,
-            (slack[g] * b_h - slack[h] * b_g) // d,
-            ridge if apex is None else ridge | {apex},
-        )
+        yield h, d, (normal, (s_g * b_h - s_h * b_g) // d, ridge | top)
 
 
 def _farthest_first(points, simplex):
@@ -209,44 +266,38 @@ def _farthest_first(points, simplex):
 
 
 def _beneath_beyond(points, simplex):
-    """Facets of conv(points) as (primitive normal, offset, indices of the
-    points on it), by the beneath-beyond method (Joswig, "Beneath-and-Beyond
-    Revisited", 2003) in integer arithmetic.
+    """Facets of conv(points) as (primitive normal, offset, bitmask of the
+    indices of the points on it), by the beneath-beyond method (Joswig,
+    "Beneath-and-Beyond Revisited", 2003) in integer arithmetic.
 
-    The hull starts as the full-dimensional ``simplex``; the other points
-    are added farthest first (see :func:`_farthest_first`), so that the
-    points beyond the hull come early and the later ones mostly see no
-    facet. With slacks s = b - a.q, the facets with s < 0 see q and are
-    dropped, the facets with s = 0 gain q, and every ridge between a dropped
-    facet G and a kept facet H with s_H > 0 spans a new facet with q (see
-    :func:`_ridge_pencils`). On points of the old hull that facet is a
-    positive combination of G and H, so the old points on it are exactly
-    those on G & H, and every point set stays complete, whatever the order.
+    The hull starts as the full-dimensional ``simplex`` (see
+    :func:`_simplex_facets`); the other points are added farthest first
+    (see :func:`_farthest_first`), so that the points beyond the hull come
+    early and the later ones mostly see no facet and change nothing. With
+    slacks s = b - a.q, the facets with s < 0 see q and are dropped, the
+    facets with s = 0 gain q, and every ridge between a dropped facet G and
+    a kept facet H with s_H > 0 spans a new facet with q (see
+    :func:`_ridge_pencils`, from G's side). On points of the old hull that
+    facet is a positive combination of G and H, so the old points on it are
+    exactly those on G & H, and every point set stays complete, whatever
+    the order.
     """
-    n = len(points[0])
-    facets = []
-    for i in simplex:
-        others = [j for j in simplex if j != i]
-        base = points[others[0]]
-        diffs = [tuple(x - b for x, b in zip(points[j], base)) for j in others[1:]]
-        normal, _ = _primitive(_cross(diffs, n))
-        offset = _dot(normal, base)
-        if _dot(normal, points[i]) > offset:
-            normal, offset = tuple(-x for x in normal), -offset
-        facets.append((normal, offset, frozenset(others)))
+    facets = _simplex_facets(points, simplex)
     for iq in _farthest_first(points, simplex):
         q = points[iq]
-        slack = [b - _dot(a, q) for a, b, _ in facets]
-        visible = [g for g, s in enumerate(slack) if s < 0]
+        slack = [b - sum(map(mul, a, q)) for a, b, _ in facets]
+        if min(slack) > 0:
+            continue
+        bit = 1 << iq
         kept = [
-            (a, b, on | {iq}) if s == 0 else (a, b, on)
+            (a, b, on | bit) if s == 0 else (a, b, on)
             for (a, b, on), s in zip(facets, slack)
             if s >= 0
         ]
-        if visible:
-            for h, s in enumerate(slack):
-                if s > 0:
-                    kept.extend(f for _, _, f in _ridge_pencils(facets, slack, h, visible, iq))
+        ahead = [h for h, s in enumerate(slack) if s > 0]
+        for g, s in enumerate(slack):
+            if s < 0:
+                kept.extend(f for _, _, f in _ridge_pencils(facets, slack, g, ahead, iq))
         facets = kept
     return facets
 
@@ -339,7 +390,8 @@ def _expand(rows, first, lengths, cap):
 
 def _project(facets, c):
     """The facets of the projection that drops the coordinate at position
-    ``c``, from the facets (normal, offset, vertex indices) of a polytope Q.
+    ``c``, from the facets (normal, offset, bitmask of vertex indices) of a
+    polytope Q.
 
     This is Fourier-Motzkin elimination without its redundant rows
     (Schrijver, Theory of Linear and Integer Programming, section 12.2). A
@@ -392,18 +444,18 @@ def _level(facets, axes, axis, prefix, los, his):
     column = [a[c] for a, _, _ in facets]
     values = sorted(set(column))
     earlier = [at[i] for i in prefix]
-    homogeneous = np.array([[b, *(-a[i] for i in earlier)] for a, b, _ in facets], dtype=object)
-    div = np.array([[abs(v) or 1] for v in values], dtype=object)
-    reach = np.array([1, *(max(abs(los[i]), abs(his[i])) for i in prefix)], dtype=object)
-    bound = max((abs(homogeneous) @ reach).max(), div.max())
+    rows = [[b, *(-a[i] for i in earlier)] for a, b, _ in facets]
+    divs = [abs(v) or 1 for v in values]
+    reach = [1, *(max(abs(los[i]), abs(his[i])) for i in prefix)]
+    bound = max(max(sum(map(mul, map(abs, row), reach)) for row in rows), max(divs))
     dtype = _exact_dtype(bound)
     return _Level(
         axis=axis,
         runs=[(bisect_left(column, v), bisect_right(column, v)) for v in values],
         nneg=bisect_left(values, 0),
         npos=len(values) - bisect_right(values, 0),
-        homogeneous=homogeneous.astype(dtype),
-        div=div.astype(dtype),
+        homogeneous=np.array(rows, dtype=dtype),
+        div=np.array(divs, dtype=dtype)[:, None],
         rows=max(1, _CHUNK_ENTRIES // len(facets)),
         bound=bound,
     )
@@ -451,7 +503,8 @@ class Polytope:
     its facets, each with the indices of the vertices on it.
 
     Use :func:`build_polytope`, which also fixes ``budget``, the cap on the
-    fibers of one dilate scan; invariants are memoized per polytope.
+    fibers that one dilate scan walks and on the points that it collects;
+    invariants are memoized per polytope.
     """
 
     __slots__ = ("dim", "vertices", "facets", "discarded_points", "budget", "_memo")
@@ -517,7 +570,7 @@ class Polytope:
         his = [max(v[i] for v in self.vertices) for i in range(n)]
         dropped = sorted(range(n), key=lambda i: los[i] - his[i])
         order = dropped[::-1]
-        facets = [(f.normal, f.offset, f.vertices) for f in self.facets]
+        facets = [(f.normal, f.offset, _mask(f.vertices)) for f in self.facets]
         levels = [_level(facets, range(n), order[-1], order[:-1], los, his)]
         axes = list(range(n))
         for m in range(n - 1, 1, -1):
@@ -573,7 +626,9 @@ class Polytope:
         P_1, and takes every level (see :meth:`_levels`).
         The dtype is :func:`_exact_dtype` of :meth:`_walk_bound`. Raises
         :class:`BudgetExceeded` for the first k whose box walk has more than
-        ``budget`` fibers.
+        ``budget`` fibers, and, before it expands the last level's
+        intervals, for a collecting walk whose dilates hold more than
+        ``budget`` points in all.
 
         Returns (closed_count, interior_count, points or None) per k, the
         points as an (N, n) array in lexicographic order, of the walk's dtype.
@@ -595,7 +650,8 @@ class Polytope:
         labels = np.array(ks, dtype=dtype)
         closed = [0] * len(ks)
         interior = [0] * len(ks)
-        # the collected rows (k, x), with x in the plan's order
+        # the last level's rows (k, x') with their intervals of the last
+        # coordinate, which a collecting walk expands to the rows (k, x)
         chunks = []
 
         def extend(depth, rows):
@@ -616,13 +672,15 @@ class Polytope:
                 closed[i] += running[0][i] - (running[0][i - 1] if i else 0)
                 interior[i] += running[1][i] - (running[1][i - 1] if i else 0)
             if collect:
-                chunks.extend(_expand(rows, first, lengths[0], level.rows))
+                chunks.append((rows, first, lengths[0]))
 
         for rows in _box_rows(ks, plan.los, plan.his, start, steps[0][0].rows, dtype):
             extend(0, rows)
         if not collect:
             return [(c, i, None) for c, i in zip(closed, interior)]
-        rows = np.concatenate(chunks)
+        if sum(closed) > self.budget:
+            raise BudgetExceeded(sum(closed), self.budget, "points")
+        rows = np.concatenate([x for chunk in chunks for x in _expand(*chunk, levels[-1].rows)])
         # sort by k, then x_0, ..., x_{n-1} (lexsort's last key is its first)
         columns = [0, *(plan.order.index(i) + 1 for i in range(self.dim))]
         order = np.lexsort([rows[:, c] for c in columns[::-1]])
@@ -689,12 +747,16 @@ class Polytope:
     @memo
     def edges(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
         """Vertex pairs that span a 1-dimensional face: the facets through
-        both meet in exactly the pair (see :func:`_is_face`)."""
+        both meet in exactly the pair (see :func:`_meet`)."""
         v = self.vertices
-        sets = [f.vertices for f in self.facets]
-        universe = frozenset(range(len(v)))
+        through = _through([_mask(f.vertices) for f in self.facets], len(v))
+        universe = (1 << len(v)) - 1
         pairs = itertools.combinations(range(len(v)), 2)
-        return tuple((v[i], v[j]) for i, j in pairs if _is_face({i, j}, sets, universe))
+        return tuple(
+            (v[i], v[j])
+            for i, j in pairs
+            if _meet(through[i], 1 << i | 1 << j, universe) == 1 << i | 1 << j
+        )
 
     def is_smooth(self) -> bool:
         """Whether the toric variety of P is smooth: every vertex lies on
@@ -724,10 +786,11 @@ def build_polytope(points, budget: int = DEFAULT_BUDGET) -> Polytope:
     accepts, but not ``bool``). Non-vertex input points (convex combinations
     of the others) are discarded but reported on the result; degenerate
     input is a hard error because every downstream invariant assumes full
-    dimension. A dilate scan of the result beyond ``budget`` fibers raises
+    dimension. A dilate scan of the result that walks more than ``budget``
+    fibers, or collects more than ``budget`` points, raises
     :class:`BudgetExceeded`.
     """
-    pts = [tuple(_coordinate(c) for c in p) for p in points]
+    pts = [tuple(map(_coordinate, p)) for p in points]
     if not pts:
         raise EmptyInput("no points given")
     n = len(pts[0])
@@ -742,14 +805,17 @@ def build_polytope(points, budget: int = DEFAULT_BUDGET) -> Polytope:
             f"affine hull has dimension {len(simplex) - 1} < ambient {n}"
         )
     facets = _beneath_beyond(unique, simplex)
-    sets = [on for _, _, on in facets]
-    universe = frozenset(range(len(unique)))
-    kept = [i for i in range(len(unique)) if _is_face({i}, sets, universe)]
+    universe = (1 << len(unique)) - 1
+    through = _through([on for _, _, on in facets], len(unique))
+    kept = [i for i in range(len(unique)) if _meet(through[i], 1 << i, universe) == 1 << i]
     position = {i: k for k, i in enumerate(kept)}
     p = Polytope(
         n,
         [unique[i] for i in kept],
-        [Facet(a, b, frozenset(position[i] for i in on if i in position)) for a, b, on in facets],
+        [
+            Facet(a, b, frozenset(position[i] for i in _bits(on) if i in position))
+            for a, b, on in facets
+        ],
         [q for i, q in enumerate(unique) if i not in position],
     )
     p.budget = budget

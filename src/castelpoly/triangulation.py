@@ -6,20 +6,24 @@ over the cell's facets that miss the point. Pulling every point guarantees
 the final cells are simplices and every lattice point is used as a vertex,
 which is what the unimodularity criterion needs.
 
-A facet cell is its list of facets a.x <= b, each with the indices of the
-cell's vertices on it; P with its stored facets is the first cell. Each cell
-carries the later lattice points, in pull order, that lie in it, and pulls
-the first of them, q. In a facet cell each point carries its slacks
+A facet cell is its list of facets a.x <= b, each with the cell's vertices
+on it as a bitmask, sum 2^i over their indices i in the sorted lattice
+points of P; P with its stored facets is the first cell. Each cell carries
+the later lattice points, in pull order, that lie in it, and pulls the
+first of them, q. In a facet cell each point carries its slacks
 sigma = b - a.x against the cell's facets, and q's slacks are s. The cone
 q * G over a facet G with s_G > 0 has the facet G and, for every other facet
 H that meets G in a ridge, the member
 (s_G a_H - s_H a_G).x <= s_G b_H - s_H b_G of the pencil of hyperplanes
 through G & H that passes through q, divided by the gcd d of its normal,
-with vertices (G & H) + {q}. Two facets meet in a ridge when no third facet
-holds all their common vertices; in dimension 1 the two end points meet in
-the empty ridge. So the facets of every cell follow from its parent's
-without a hull search, by the same step (:func:`geometry._ridge_pencils`) as
-the beneath-beyond hull of P. Four rules decide the rest:
+with vertices (G & H) + {q}, the AND of the masks with q's bit set. Two
+facets meet in a ridge when the AND of their masks holds at least n - 1
+vertices and no third facet's mask holds all of it; in dimension 1 the two
+end points meet in the empty ridge. So the facets of every cell follow from its
+parent's without a hull search, by the same step
+(:func:`geometry._ridge_pencils`) as the beneath-beyond hull of P. A facet
+whose mask holds n vertices bounds a simplex cone. Four rules decide the
+rest:
 
 * Inherited slacks. Only P's facets are evaluated at points, and, when a
   simplex cell is formed, each of its facets at the opposite vertex. A
@@ -73,7 +77,16 @@ import numpy as np
 from .ehrhart import hstar, normalized_volume
 from .errors import InvariantViolation
 from .exact_linalg import det
-from .geometry import LatticePoint, Polytope, _dot, _exact_dtype, _ridge_pencils, memo
+from .geometry import (
+    LatticePoint,
+    Polytope,
+    _bits,
+    _dot,
+    _exact_dtype,
+    _mask,
+    _ridge_pencils,
+    memo,
+)
 
 
 def _volumes(points, simplices, n) -> tuple[int, ...]:
@@ -174,8 +187,9 @@ def _ray_exit_split(held):
 
 
 def _simplex_entry(points, on, iq, s_g, pencils, inherited):
-    """The simplex cone q * G over a facet G with n vertices ``on``, as
-    (vertices, volume V, points with their volume coordinates beta).
+    """The simplex cone q * G over a facet G with the n vertices of the mask
+    ``on``, as (vertices, volume V, points with their volume coordinates
+    beta).
 
     The cone's facets are G and the ``pencils`` through G's ridges, against
     which the points have the ``inherited`` slacks sigma; its vertex j is
@@ -183,12 +197,12 @@ def _simplex_entry(points, on, iq, s_g, pencils, inherited):
     G off H. Then beta_j = sigma_j * (V / h_j), with h_j the slack of
     vertex j.
     """
-    if len(pencils) != len(on):
+    if len(pencils) != on.bit_count():
         raise InvariantViolation("a simplex cone does not have a facet per ridge")
     verts = [iq]
     heights = [s_g]
     for _, _, (normal, offset, ridge) in pencils:
-        (w,) = on - ridge
+        (w,) = _bits(on & ~ridge)
         verts.append(w)
         heights.append(offset - _dot(normal, points[w]))
     q = points[iq]
@@ -235,11 +249,10 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
     points = tuple(map(tuple, array.tolist()))
     index = {pt: i for i, pt in enumerate(points)}
 
-    # a facet cell's facets: (normal, offset, indices of the cell's vertices
-    # on it), and its later points: (index, slacks b - a.x against those
-    # facets)
+    # a facet cell's facets: (normal, offset, mask of the cell's vertices on
+    # it), and its later points: (index, slacks b - a.x against those facets)
     corner = [index[v] for v in p.vertices]
-    root = [(f.normal, f.offset, frozenset(corner[i] for i in f.vertices)) for f in p.facets]
+    root = [(f.normal, f.offset, _mask(corner[i] for i in f.vertices)) for f in p.facets]
     held = [(i, tuple(s)) for i, s in enumerate(_root_slacks(p, array))]
     stack = [(root, held)]
     # a simplex cell: (vertices, volume, later points with their volume
@@ -253,11 +266,12 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
         iq, s, inside = _ray_exit_split(held)
         for g, members in inside.items():
             on = facets[g][2]
-            if len(on) == n:
+            simplex = on.bit_count() == n
+            if simplex:
                 # a simplex cone: pulling one of its own vertices rebuilds it
-                members = [x for x in members if x[0] not in on]
+                members = [x for x in members if not on >> x[0] & 1]
                 if not members:
-                    cells.append(tuple(sorted(on | {iq})))
+                    cells.append(tuple(_bits(on | 1 << iq)))
                     continue
             pencils = list(_ridge_pencils(facets, s, g, range(len(facets)), iq))
             # the pencil facet's slack is (s_G sigma_H - s_H sigma_G) / d
@@ -265,7 +279,7 @@ def pulling_triangulation(p: Polytope) -> Triangulation:
                 (i, (sigma[g], *((s[g] * sigma[h] - s[h] * sigma[g]) // d for h, d, _ in pencils)))
                 for i, sigma in members
             ]
-            if len(on) == n:
+            if simplex:
                 simplex_cells.append(_simplex_entry(points, on, iq, s[g], pencils, inherited))
             else:
                 stack.append(([facets[g], *(f for _, _, f in pencils)], inherited))

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import strategies as st
 
 from castelpoly import geometry
-from castelpoly.exact_linalg import IntMatrix, rank
-from castelpoly.geometry import Facet, _cross, _dot, _primitive, build_polytope
+from castelpoly.exact_linalg import IntMatrix, det, rank
+from castelpoly.geometry import (
+    Facet,
+    _dot,
+    _farthest_first,
+    _primitive,
+    _starting_simplex,
+    build_polytope,
+)
 from castelpoly.registry import (
     family_vertices,
     nonspanning_dim4_vertices,
@@ -85,6 +92,118 @@ oracle_clouds = st.integers(1, 4).flatmap(
         max_size=n + 3,
     )
 )
+
+
+def _cross(diffs, n):
+    """Integer normal to the hyperplane spanned by n-1 difference vectors.
+
+    Generalized cross product: entry j is (-1)^j times the minor with
+    column j deleted. All zeros means the vectors are dependent.
+    """
+    if n == 1:
+        return (1,)
+    normal = []
+    for j in range(n):
+        minor = [[row[c] for c in range(n) if c != j] for row in diffs]
+        normal.append((-1) ** j * det(minor))
+    return tuple(normal)
+
+
+def cross_simplex_facets(points, simplex):
+    """Oracle for the starting simplex of the hull: the facet opposite each
+    vertex in turn as (primitive normal, offset, frozenset of the other
+    vertices), the normal from n minors by :func:`_cross` and oriented away
+    from the vertex."""
+    n = len(points[0])
+    facets = []
+    for i in simplex:
+        others = [j for j in simplex if j != i]
+        base = points[others[0]]
+        diffs = [tuple(x - b for x, b in zip(points[j], base)) for j in others[1:]]
+        normal, _ = _primitive(_cross(diffs, n))
+        offset = _dot(normal, base)
+        if _dot(normal, points[i]) > offset:
+            normal, offset = tuple(-x for x in normal), -offset
+        facets.append((normal, offset, frozenset(others)))
+    return facets
+
+
+def frozenset_ridge_pencils(facets, slack, g, others, apex=None):
+    """Oracle for ``geometry._ridge_pencils`` on frozenset point sets, for
+    s_g > 0: for each facet H in ``others`` that meets G in a ridge (at least
+    n - 1 common points, and no third facet holds them all), the pencil
+    member (s_g a_h - s_h a_g).x <= s_g b_h - s_h b_g through G & H and q,
+    made primitive, with the point set G & H plus ``apex``, as (h, d,
+    facet)."""
+    a_g, b_g, on_g = facets[g]
+    least = len(a_g) - 1
+    for h in others:
+        a_h, b_h, on_h = facets[h]
+        ridge = on_g & on_h
+        if h == g or len(ridge) < least or any(
+            ridge <= on for i, (_, _, on) in enumerate(facets) if i != g and i != h
+        ):
+            continue
+        normal, d = _primitive(
+            tuple(slack[g] * x - slack[h] * y for x, y in zip(a_h, a_g))
+        )
+        yield h, d, (
+            normal,
+            (slack[g] * b_h - slack[h] * b_g) // d,
+            ridge if apex is None else ridge | {apex},
+        )
+
+
+def frozenset_beneath_beyond(points, simplex):
+    """Oracle for ``geometry._beneath_beyond`` on frozenset point sets: the
+    same insertion order, each new facet from the pencil of a kept facet H
+    with s_H > 0 and a facet G that q sees."""
+    facets = cross_simplex_facets(points, simplex)
+    for iq in _farthest_first(points, simplex):
+        q = points[iq]
+        slack = [b - _dot(a, q) for a, b, _ in facets]
+        visible = [g for g, s in enumerate(slack) if s < 0]
+        kept = [
+            (a, b, on | {iq}) if s == 0 else (a, b, on)
+            for (a, b, on), s in zip(facets, slack)
+            if s >= 0
+        ]
+        if visible:
+            for h, s in enumerate(slack):
+                if s > 0:
+                    kept.extend(
+                        f for _, _, f in frozenset_ridge_pencils(facets, slack, h, visible, iq)
+                    )
+        facets = kept
+    return facets
+
+
+def frozenset_hull(points):
+    """Oracle for build_polytope on full-dimensional points: (facets,
+    vertices, discarded points) from :func:`frozenset_beneath_beyond`, a
+    point being a vertex when the point sets of the facets through it meet
+    in it alone."""
+    unique = sorted(set(map(tuple, points)))
+    facets = frozenset_beneath_beyond(unique, _starting_simplex(unique))
+    sets = [on for _, _, on in facets]
+    universe = frozenset(range(len(unique)))
+
+    def is_vertex(i):
+        through = [s for s in sets if i in s]
+        return (frozenset.intersection(*through) if through else universe) == {i}
+
+    kept = [i for i in range(len(unique)) if is_vertex(i)]
+    position = {i: k for k, i in enumerate(kept)}
+    return (
+        tuple(
+            sorted(
+                Facet(a, b, frozenset(position[i] for i in on if i in position))
+                for a, b, on in facets
+            )
+        ),
+        tuple(unique[i] for i in kept),
+        tuple(q for i, q in enumerate(unique) if i not in position),
+    )
 
 
 def brute_force_facets(points, n):

@@ -262,13 +262,26 @@ def test_corpus_cli_deterministic_and_clean(capsys):
     assert "all audits passed" in first
 
 
+def test_analyze_refuses_a_collect_beyond_the_budget(tmp_path, capsys):
+    # conv(0, 2^70) walks one fiber, but its points cannot be held
+    path = write(tmp_path, "long.json", '{"vertices": [[0], [1180591620717411303424]]}')
+    assert main(["analyze", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: BudgetExceeded: dilate scan needs 1180591620717411303425 points, "
+        "budget is 100000000\n"
+    )
+
+
 def test_corpus_text_reports_skips(capsys):
     args = ["corpus", "--dim", "3", "--coord-bound", "2", "--count", "5", "--seed", "1", "--budget", "5"]
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "all audits passed" not in out
     assert out.endswith(
-        "5 of 5 polytopes skipped: a dilate scan needed more than the budget of 5 fibers\n"
+        "5 of 5 polytopes skipped: a dilate scan needed more than the budget of 5 "
+        "fibers walked or points collected\n"
     )
     assert main([*args, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["total_skipped"] == 5

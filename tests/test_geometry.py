@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from castelpoly import geometry
@@ -18,7 +18,13 @@ from castelpoly.errors import (
     NotFullDimensional,
 )
 from castelpoly.exact_linalg import det
-from castelpoly.geometry import _CHUNK_ENTRIES, _primitive, _project, build_polytope
+from castelpoly.geometry import (
+    _CHUNK_ENTRIES,
+    _primitive,
+    _project,
+    _simplex_facets,
+    build_polytope,
+)
 from castelpoly.registry import reflexive_simplex_vertices, standard_simplex_vertices
 
 from conftest import (
@@ -26,7 +32,9 @@ from conftest import (
     affine_dimension,
     brute_force_hull,
     cross_polytope,
+    cross_simplex_facets,
     exact_route,
+    frozenset_hull,
     hull_clouds,
     nonspanning_dim4,
     oracle_clouds,
@@ -122,6 +130,40 @@ def test_hull_matches_brute_force_oracle(cloud):
     assert (p.facets, p.vertices, p.discarded_points) == brute_force_hull(cloud)
 
 
+# the bitmask hull against its frozenset predecessor, kept as the oracle
+@settings(max_examples=300, deadline=None)
+@given(cloud=hull_clouds())
+def test_hull_matches_frozenset_hull(cloud):
+    try:
+        p = build_polytope(cloud)
+    except NotFullDimensional:
+        return
+    assert (p.facets, p.vertices, p.discarded_points) == frozenset_hull(cloud)
+
+
+@st.composite
+def simplices(draw):
+    """n + 1 affinely independent points in dimension 1-5, in drawn order."""
+    n = draw(st.integers(1, 5))
+    coord = st.integers(-6, 6)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 1, unique=True))
+    assume(affine_dimension(pts) == n)
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=simplices())
+def test_simplex_facets_match_cross_products(pts):
+    # one elimination of [V | I] against n minors per facet, primitive and
+    # pointing away from the vertex opposite
+    simplex = list(range(len(pts)))
+    got = [
+        (a, b, frozenset(i for i in simplex if on >> i & 1))
+        for a, b, on in _simplex_facets(pts, simplex)
+    ]
+    assert got == cross_simplex_facets(pts, simplex)
+
+
 def sorted_insertion(points, simplex):
     """The hull's former insertion order: the points outside the starting
     simplex by index."""
@@ -194,6 +236,24 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceeded, match="needs 10201 fibers, budget is 10"):
         p.lattice_points(100)
     assert build_polytope(p.vertices, budget=10201).lattice_count(100) == 101**3
+
+
+@pytest.mark.parametrize(
+    "points, needed",
+    [([(0,), (10**6,)], 10**6 + 1), ([(0, 0), (1, 0), (0, 10**6)], 10**6 + 2)],
+    ids=["segment", "long-triangle"],
+)
+def test_collect_beyond_budget_is_refused(points, needed):
+    # the box walk has one or two fibers, so only the points collected along
+    # the widest axis can exceed the budget; counts do not collect
+    p = build_polytope(points, budget=1000)
+    refusal = f"^dilate scan needs {needed} points, budget is 1000$"
+    with pytest.raises(BudgetExceeded, match=refusal):
+        p._points(1)
+    with pytest.raises(BudgetExceeded, match=f"needs {needed} points"):
+        p.lattice_points(1)
+    assert p.lattice_count(1) == needed
+    assert build_polytope(points, budget=needed)._points(1).shape == (needed, len(points[0]))
 
 
 def test_interior_count_of_zeroth_dilate():
@@ -332,11 +392,13 @@ def test_projection_levels_match_hull_oracle(cloud):
         axes = plan.order[: plan.order.index(level.axis) + 1]
         assert level_facets(level) == [f[:2] for f in shadow_facets(p, axes)]
     axes = list(range(p.dim))
-    facets = [(f.normal, f.offset, f.vertices) for f in p.facets]
+    facets = [(f.normal, f.offset, sum(1 << i for i in f.vertices)) for f in p.facets]
     for axis in plan.order[:1:-1]:
         facets = _project(facets, axes.index(axis))
         axes.remove(axis)
-        assert sorted(facets) == shadow_facets(p, axes)
+        vertices = range(len(p.vertices))
+        sets = [(a, b, frozenset(i for i in vertices if on >> i & 1)) for a, b, on in facets]
+        assert sorted(sets) == shadow_facets(p, axes)
 
 
 def test_walk_chunks_stay_within_bound(monkeypatch):

@@ -24,6 +24,7 @@ from conftest import (
     brute_force_facets,
     cross_polytope,
     exact_route,
+    frozenset_ridge_pencils,
     hull_clouds,
     nonspanning_dim4,
     oracle_clouds,
@@ -249,7 +250,7 @@ def cone_oracle(p):
         for g, s in enumerate(slack):
             if s == 0:
                 continue
-            pencils = _ridge_pencils(facets, slack, g, range(len(facets)), held[0])
+            pencils = frozenset_ridge_pencils(facets, slack, g, range(len(facets)), held[0])
             cone = [facets[g], *(f for _, _, f in pencils)]
             inside = [i for i in later if all(_dot(a, points[i]) <= b for a, b, _ in cone)]
             stack.append((cone, inside))
@@ -293,7 +294,7 @@ def facet_pulling(p):
                 if not inside[g]:
                     cells.append(tuple(sorted(on | {iq})))
                     continue
-            pencils = list(_ridge_pencils(facets, s, g, range(len(facets)), iq))
+            pencils = list(frozenset_ridge_pencils(facets, s, g, range(len(facets)), iq))
             cone = [facets[g], *(f for _, _, f in pencils)]
             inherited = [
                 (i, (sigma[g], *((s[g] * sigma[h] - s[h] * sigma[g]) // d for h, d, _ in pencils)))
