@@ -80,7 +80,10 @@ def audit_polytope(p: Polytope) -> dict[str, str]:
     """Run the full audit battery on one polytope; every outcome is one of
     pass/fail/inapplicable, or skipped across the board on budget exhaustion."""
     try:
-        # pulling collects P, so the counting scans that follow skip it
+        # collect P for the pulling first, then count in one walk every
+        # dilate that h*, degree and the Ehrhart round trip read
+        p._points(1)
+        p.count_dilates(range(1, 2 * p.dim + 1))
         bm = betke_mcmullen_check(p)
         results: dict[str, str] = {}
         agree = is_castelnuovo(p).verdict == is_castelnuovo_direct(p).verdict
@@ -112,7 +115,6 @@ def audit_polytope(p: Polytope) -> dict[str, str]:
         else:
             results["flat_interior_unimodular"] = "pass" if bm["unimodular"] else "anomaly"
 
-        p.count_dilates(range(1, 2 * p.dim + 1))
         roundtrip = all(
             ehrhart_eval(h, k) == p.lattice_count(k)
             for k in range(2 * p.dim + 1)

@@ -1,9 +1,16 @@
 """h*-vector, degree, and normalized volume from exact dilate counts.
 
-The h*-vector is obtained by multiplying the lattice-point generating series
-by (1-t)^(n+1) and truncating at degree n, i.e. a binomial convolution of the
-counts L(0..n). No interpolation and no rational arithmetic: the counting
-function of a lattice polytope makes every step integer-exact.
+Multiplying the lattice-point generating series sum_k L(k) t^k by
+(1-t)^(n+1) gives the h*-polynomial, so the closed counts L(0..K) give
+h*_0..h*_K by a binomial convolution. Ehrhart-Macdonald reciprocity
+(Stanley 1974; Beck and Robins, Computing the Continuous Discretely, ch. 4)
+gives the other end: sum_{k>=1} L°(k) t^k = t^(n+1) h*(1/t) / (1-t)^(n+1),
+L° the interior counts, so the same convolution of L°(1..K) gives
+h*_n..h*_(n+1-K). With K = floor((n+2)/2) the two halves overlap in
+2K - n >= 1 coefficients, which must agree, and one walk of the dilates
+1..K serves the whole vector: kP for k up to about n/2 instead of n. No
+interpolation and no rational arithmetic: the counting function of a
+lattice polytope makes every step integer-exact.
 """
 
 from __future__ import annotations
@@ -64,34 +71,63 @@ def ehrhart_profile(p: Polytope, kmax: int | None = None) -> EhrhartProfile:
     return EhrhartProfile(tuple(p.lattice_count(k) for k in range(kmax + 1)))
 
 
+def _reach(n: int) -> int:
+    """K = floor((n+2)/2), the largest dilate that h* of an n-polytope reads:
+    the closed counts up to K give h*_0..h*_K and the interior ones
+    h*_(n+1-K)..h*_n, which overlap in 2K - n >= 1 coefficients."""
+    return (n + 2) // 2
+
+
 @memo
 def hstar(p: Polytope) -> HStarVector:
-    """The h*-vector of p, with its defining identities verified.
+    """The h*-vector of p from one walk of the dilates 1..K (see
+    :func:`_reach`), with its defining identities verified.
 
-    Postconditions checked before returning: h*_0 = 1, nonnegativity,
-    h*_1 = |P cap Z^n| - (n+1), and h*_n = interior count of P itself.
-    A failure here is an implementation bug, not bad input.
+    h*_i = sum_j (-1)^j C(n+1, j) L(i-j) for i <= K, and by reciprocity
+    h*_(n+1-j) = sum_{i<j} (-1)^i C(n+1, i) L°(j-i) for 1 <= j <= K, so
+    h*_n = L°(1) by construction. Postconditions checked before returning:
+    the 2K - n coefficients that both sums give agree (else
+    :class:`CrossCheckMismatch`), h*_0 = 1, nonnegativity, and
+    h*_1 = |P cap Z^n| - (n+1). A failure here is an implementation bug,
+    not bad input.
     """
     n = p.dim
-    counts = ehrhart_profile(p, n).counts
-    coeffs = tuple(
+    top = _reach(n)
+    counts = ehrhart_profile(p, top).counts
+    interior = [p.interior_lattice_count(k) for k in range(top + 1)]
+    low = [
         sum((-1) ** j * comb(n + 1, j) * counts[i - j] for j in range(i + 1))
-        for i in range(n + 1)
-    )
-    h = HStarVector(n, coeffs)  # constructor checks h*_0 and nonnegativity
+        for i in range(top + 1)
+    ]
+    # h*_(n+1-top), ..., h*_n
+    high = [
+        sum((-1) ** i * comb(n + 1, i) * interior[j - i] for i in range(j))
+        for j in range(top, 0, -1)
+    ]
+    seam = n + 1 - top
+    if low[seam:] != high[: top + 1 - seam]:
+        raise CrossCheckMismatch(
+            f"h*_{seam}..h*_{top} from the closed counts are {tuple(low[seam:])} "
+            f"but the interior counts give {tuple(high[: top + 1 - seam])}"
+        )
+    h = HStarVector(n, (*low[:seam], *high))  # checks h*_0 and nonnegativity
     if h.coeffs[1] != counts[1] - (n + 1):
         raise InvariantViolation("h*_1 does not match the lattice point count")
-    if h.coeffs[n] != p.interior_lattice_count(1):
-        raise InvariantViolation("h*_n does not match the interior point count")
     return h
 
 
 @memo
 def degree(p: Polytope) -> int:
     """deg(P), computed from the h*-support and independently from the first
-    dilate with an interior lattice point; the two routes must agree."""
+    dilate with an interior lattice point; the two routes must agree.
+
+    By reciprocity the first interior dilate is n + 1 - deg(P), s = deg h*.
+    The dilates K+1..n+1-s that h* did not read are counted in one walk;
+    there are none when one of 1..K has an interior point, since h* then
+    reads the first one off its interior counts."""
     s = hstar(p).degree
     n = p.dim
+    p.count_dilates(range(_reach(n) + 1, n + 2 - s))
     first_interior = next(
         (k for k in range(1, n + 2) if p.interior_lattice_count(k) > 0),
         None,

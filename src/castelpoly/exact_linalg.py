@@ -147,10 +147,16 @@ def hermite_insert(basis: list[list[int]], row) -> bool:
 
 def hermite_basis(rows) -> list[list[int]]:
     """Echelon basis of the lattice the integer rows generate, built by
-    :func:`hermite_insert`; its row count is the rank of the rows."""
+    :func:`hermite_insert`; its row count is the rank of the rows.
+
+    The insertion stops once the basis has a row per column and every pivot
+    is 1: it then generates Z^n, every later row reduces to zero and leaves
+    the basis unchanged."""
     basis: list[list[int]] = []
     for row in rows:
         hermite_insert(basis, row)
+        if len(basis) == len(row) and all(b[i] == 1 for i, b in enumerate(basis)):
+            break
     return basis
 
 

@@ -83,8 +83,9 @@ def spanning_non_idp_family(a):
 
 # point clouds of dimension 1-4 for the differential tests against the
 # oracles, in coordinate ranges small enough that the box oracle of the dilate
-# scan stays below 17^4 cells up to k = 2n
-ORACLE_RANGES = {1: (-4, 4), 2: (-2, 3), 3: (-1, 2), 4: (0, 2)}
+# scan stays below 17^4 cells up to k = 2n; dimensions 5 and 6 serve the h*
+# oracle alone, which counts the dilates up to k = n
+ORACLE_RANGES = {1: (-4, 4), 2: (-2, 3), 3: (-1, 2), 4: (0, 2), 5: (-1, 1), 6: (-1, 1)}
 oracle_clouds = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.tuples(*[st.integers(*ORACLE_RANGES[n])] * n),
@@ -278,12 +279,13 @@ def _lattice_segment(a, b):
 
 
 @st.composite
-def hull_clouds(draw):
-    """Point clouds of dimension 1-4 in the oracle ranges, in shuffled order,
-    with duplicates, with coordinates biased to the ends of the range so that
-    many points share a boundary hyperplane, and with the lattice points on
-    a few segments between drawn points, which are collinear."""
-    n = draw(st.integers(1, 4))
+def hull_clouds(draw, dims=4):
+    """Point clouds of dimension 1 to ``dims`` (at most 6) in the oracle
+    ranges, in shuffled order, with duplicates, with coordinates biased to
+    the ends of the range so that many points share a boundary hyperplane,
+    and with the lattice points on a few segments between drawn points,
+    which are collinear."""
+    n = draw(st.integers(1, dims))
     lo, hi = ORACLE_RANGES[n]
     coord = st.one_of(st.sampled_from((lo, hi)), st.integers(lo, hi))
     pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 6))

@@ -81,6 +81,18 @@ def test_analyze_text_output(tmp_path, capsys):
     assert "ROUTE-MISMATCH" not in out
 
 
+def test_analyze_family_a4_returns_a_report(tmp_path, capsys):
+    # h* of this 9-polytope reads the dilates up to 5P, within the default
+    # budget; the convolution of L(0..9) needed 6P at 214,089,967 fibers
+    doc = {"vertices": [list(v) for v in family_vertices(4)]}
+    path = write(tmp_path, "fam4.json", json.dumps(doc))
+    assert main(["analyze", path]) == 0
+    captured = capsys.readouterr()
+    assert "h*-vector:           (1, 1, 1, 1, 1, 2, 0, 0, 0, 0)" in captured.out
+    assert "degree:              5" in captured.out
+    assert captured.err == ""
+
+
 def test_analyze_degenerate_exits_nonzero(tmp_path, capsys):
     path = write(tmp_path, "dot.txt", "3 3\n3 3\n")
     assert main(["analyze", path]) == 1

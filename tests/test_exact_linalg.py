@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from castelpoly.exact_linalg import IntMatrix, det, hermite_basis, rank, snf
+from castelpoly.exact_linalg import IntMatrix, det, hermite_basis, hermite_insert, rank, snf
 
 
 def mat(rows):
@@ -153,6 +153,28 @@ def test_hermite_basis_generates_the_row_lattice(rows):
         # same rank, rows inside the basis lattice, same invariant factors:
         # the two lattices are equal
         assert [x for x in snf(mat(basis)).d if x != 0] == factors
+
+
+def full_insertion(rows):
+    """Oracle for hermite_basis: every row inserted, with no early exit."""
+    basis = []
+    for row in rows:
+        hermite_insert(basis, row)
+    return basis
+
+
+# up to four rows per column, so that many bases reach Z^n with rows to spare
+tall_matrices = st.integers(1, 5).flatmap(
+    lambda c: st.lists(
+        st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=1, max_size=4 * c
+    )
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(small_matrices, tall_matrices))
+def test_hermite_basis_matches_full_insertion(rows):
+    assert hermite_basis(rows) == full_insertion(rows)
 
 
 def test_from_rows_rejects_empty_and_ragged():

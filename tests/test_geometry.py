@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from castelpoly import geometry
-from castelpoly.ehrhart import hstar
 from castelpoly.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -138,6 +137,18 @@ def test_hull_matches_frozenset_hull(cloud):
         p = build_polytope(cloud)
     except NotFullDimensional:
         return
+    assert (p.facets, p.vertices, p.discarded_points) == frozenset_hull(cloud)
+
+
+def test_hull_of_the_doubled_cross_polytope():
+    # the 41 lattice points of 2 times the 4-cross-polytope: two facets whose
+    # signs differ in two places share an edge with 3 = n - 1 lattice points,
+    # and only the third-facet check tells that edge from a ridge
+    cloud = [x for x in itertools.product(range(-2, 3), repeat=4) if sum(map(abs, x)) <= 2]
+    assert len(cloud) == 41
+    p = build_polytope(cloud)
+    signs = itertools.product((-1, 1), repeat=4)
+    assert sorted((f.normal, f.offset) for f in p.facets) == [(s, 2) for s in signs]
     assert (p.facets, p.vertices, p.discarded_points) == frozenset_hull(cloud)
 
 
@@ -410,7 +421,7 @@ def test_walk_chunks_stay_within_bound(monkeypatch):
         return real(r, *args)
 
     monkeypatch.setattr(geometry, "_fiber_intervals", spy)
-    hstar(cross_polytope(7))
+    cross_polytope(7).count_dilates(range(1, 8))
     assert len(seen) > 7 and max(seen) <= _CHUNK_ENTRIES
 
 
