@@ -131,7 +131,7 @@ def _add_budget(sub):
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="max fibers (lines through the box of kP) walked and max points collected "
+        help="max fibers (lines through the box of kP) and max points collected "
         "per dilate scan (default %(default)s)",
     )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CrossCheckMismatch, InvariantViolation
-from .geometry import Polytope, memo
+from .geometry import Polytope, _dilation, memo
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,6 @@ def normalized_volume(p: Polytope) -> int:
 
 def ehrhart_eval(h: HStarVector, k: int) -> int:
     """Predicted |kP cap Z^n| from the h*-vector alone."""
-    if k < 0:
-        raise ValueError("dilation factor must be >= 0")
+    _dilation(k)
     n = h.dim
     return sum(c * comb(n + k - i, n) for i, c in enumerate(h.coeffs) if c)

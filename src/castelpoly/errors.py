@@ -28,7 +28,7 @@ class NotFullDimensional(CastelpolyError):
 
 class BudgetExceeded(CastelpolyError):
     """A dilate scan would exceed the configured budget: ``needed`` of
-    ``unit``, the fibers it walks or the points it collects."""
+    ``unit``, the box fibers of a dilate or the points it collects."""
 
     def __init__(self, needed: int, budget: int, unit: str = "fibers"):
         self.needed = needed

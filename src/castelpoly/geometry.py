@@ -1,5 +1,5 @@
-"""Lattice polytope kernel: validated construction, facets, membership,
-dilate enumeration, edges, smoothness.
+"""Lattice polytope kernel: validated construction, facets, dilate
+enumeration, smoothness.
 
 A polytope is built from integer points only and must be full-dimensional in
 its ambient space. Its facets come from an integer beneath-beyond hull: a
@@ -15,11 +15,10 @@ it keeps G on its inner side whatever the sign. The polytope's facets keep
 the point sets, cut down to its vertices, as frozensets of vertex indices.
 A point set is a face's vertex set when it equals the meet, the AND of the
 masks of the facets through it (all points, when there are none): a point
-is a vertex when those facets meet in it alone, and two vertices span an
-edge when they meet in the pair. P is smooth when every vertex lies on
-exactly n facets and their normals form a lattice basis (Cox, Little and
-Schenck, Toric Varieties, section 2.4), which the same sets tell. The
-ridge-and-pencil step is shared with the pulling triangulation, which
+is a vertex when those facets meet in it alone. P is smooth when every
+vertex lies on exactly n facets and their normals form a lattice basis (Cox,
+Little and Schenck, Toric Varieties, section 2.4), which the same sets tell.
+The ridge-and-pencil step is shared with the pulling triangulation, which
 refines cells the same way, and with the projections of the dilate scans.
 
 Dilate scans walk a chain of coordinate projections P = P_n -> ... -> P_1,
@@ -37,11 +36,13 @@ through it parallel to axis c. Each keeps the vertices of P that project
 into it, so the hull's ridge test holds at every level. The projections of
 kP are k times those of P, so the chain, and everything else that does not
 depend on k, is worked out once per polytope, and one walk serves all the
-dilates of a request, each row labelled with its k. A walk of P alone walks
-its box of the coordinates but the last; any walk that reaches beyond P
-takes the whole chain. The scan budget counts that box's fibers per dilate,
-and the points that a collecting walk would expand, summed from its last
-level's interval lengths before it expands them.
+dilates of a request, each row labelled with its k. Every walk takes the
+whole chain, from P_1, the interval of P's first coordinate in the walk
+order (from no coordinate when n = 1). The scan budget counts, per dilate,
+the fibers of the box of kP over the coordinates other than the widest (a
+measure of kP's size: no walk walks that box), and the points that a
+collecting walk would expand, summed from its last level's interval
+lengths before it expands them.
 
 A collecting walk keeps its last level's rows (k, x) and sorts them once,
 by k and then lexicographically in the standard coordinates. Each dilate's
@@ -75,7 +76,6 @@ import itertools
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
@@ -302,32 +302,22 @@ def _beneath_beyond(points, simplex):
     return facets
 
 
-def _grid(lo, widths, start, stop, dtype):
-    """Coordinates of the row-major indices start..stop-1 of the box with
-    lower corner ``lo`` and the given widths, one row per index."""
-    idx = np.arange(start, stop).astype(dtype, copy=False)
-    x = np.empty((stop - start, len(widths)), dtype=dtype)
-    for c in range(len(widths) - 1, -1, -1):
-        x[:, c] = idx % widths[c] + lo[c]
-        idx = idx // widths[c]
-    return x
-
-
-def _box_rows(ks, los, his, axes, cap, dtype):
-    """The rows (k, x) for the integer points x of the boxes of the dilates
-    kP in the coordinates ``axes``, k ascending and x in row-major order, as
-    arrays of at most ``cap`` rows."""
+def _start_rows(ks, span, cap, dtype):
+    """The rows that a walk starts from, as arrays of at most ``cap`` rows:
+    (k, x) for each k of ``ks`` and each integer x of [k lo, k hi], the
+    dilate of ``span`` = (lo, hi), k and then x ascending; or (k) alone
+    when ``span`` is None."""
     parts, size = [], 0
     for k in ks:
-        corner = [k * los[i] for i in axes]
-        widths = [k * (his[i] - los[i]) + 1 for i in axes]
-        total = prod(widths)
+        total = k * (span[1] - span[0]) + 1 if span else 1
         done = 0
         while done < total:
             stop = min(total, done + cap - size)
-            part = np.empty((stop - done, len(axes) + 1), dtype=dtype)
+            part = np.empty((stop - done, 2 if span else 1), dtype=dtype)
             part[:, 0] = k
-            part[:, 1:] = _grid(corner, widths, done, stop, dtype)
+            if span:
+                # an index plus the first point, which stays exact on Python ints
+                part[:, 1] = np.arange(done, stop).astype(dtype, copy=False) + k * span[0]
             parts.append(part)
             size += stop - done
             done = stop
@@ -502,9 +492,9 @@ class Polytope:
     """Immutable full-dimensional lattice polytope: its sorted vertices and
     its facets, each with the indices of the vertices on it.
 
-    Use :func:`build_polytope`, which also fixes ``budget``, the cap on the
-    fibers that one dilate scan walks and on the points that it collects;
-    invariants are memoized per polytope.
+    Use :func:`build_polytope`, which also fixes ``budget``, the cap on each
+    dilate's box fibers (see :meth:`_box_fibers`) and on the points that a
+    scan collects; invariants are memoized per polytope.
     """
 
     __slots__ = ("dim", "vertices", "facets", "discarded_points", "budget", "_memo")
@@ -526,31 +516,6 @@ class Polytope:
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, facets={len(self.facets)})"
-
-    @property
-    def had_nonvertex_input(self) -> bool:
-        return bool(self.discarded_points)
-
-    # -- membership ---------------------------------------------------------
-
-    def contains(self, x, mode: str = "closed") -> bool:
-        """Exact membership test; x may have int or Fraction coordinates."""
-        if len(x) != self.dim:
-            raise DimensionMismatch(
-                f"point has length {len(x)}, ambient dimension is {self.dim}"
-            )
-        if mode not in ("closed", "interior"):
-            raise ValueError("mode must be 'closed' or 'interior'")
-        xs = tuple(Fraction(c) if not isinstance(c, int) else c for c in x)
-        for f in self.facets:
-            v = f.value(xs)
-            if mode == "closed":
-                if v > f.offset:
-                    return False
-            else:
-                if v >= f.offset:
-                    return False
-        return True
 
     # -- dilate scans --------------------------------------------------------
 
@@ -586,14 +551,9 @@ class Polytope:
             levels=levels[::-1],
         )
 
-    def _levels(self, k) -> list[_Level]:
-        """The levels of a walk whose largest dilate is kP: P's own alone for
-        P, from the box of the other coordinates, and the whole chain beyond."""
-        levels = self._scan_plan().levels
-        return levels[-1:] if k == 1 else levels
-
     def _box_fibers(self, k) -> int:
-        """The fibers of the box walk of kP, which the scan budget counts."""
+        """The fibers of the box of kP over the coordinates other than the
+        widest: the unit of the scan budget, a box that no walk walks."""
         plan = self._scan_plan()
         return prod(k * (plan.his[i] - plan.los[i]) + 1 for i in plan.order[:-1])
 
@@ -601,9 +561,8 @@ class Polytope:
         """The bound of the walk of the dilates up to kP (see the module
         docstring)."""
         plan = self._scan_plan()
-        levels = self._levels(k)
-        bound = max(level.bound for level in levels)
-        rows = max(level.rows for level in levels)
+        bound = max(level.bound for level in plan.levels)
+        rows = max(level.rows for level in plan.levels)
         return max(2 * k * bound + 3, k * plan.reach + rows * (k * plan.width + 1))
 
     def _scan(self, ks, collect: bool):
@@ -612,23 +571,20 @@ class Polytope:
 
         The walk keeps rows (k, x'): the integer points x' of the projections
         of kP on the first coordinates of the plan's order. It starts from
-        the box of the first coordinates, and each level extends every row
-        by the integer interval of its next coordinate over x'. A facet
+        P_1, the interval of the first coordinate, or from no coordinate
+        when n = 1, and each level of the plan extends every row by the
+        integer interval of its next coordinate over x'. A facet
         a.x <= k b of the level's projection gives a_c x_c <= r with
         r = k b - a'.x': x_c <= floor(r / a_c) if a_c > 0,
         x_c >= -floor(r / -a_c) if a_c < 0, and r >= 0 if a_c = 0. The last
         level is P itself: its intervals, summed per k, are the counts, and
         on integers a.x < k b means a.x <= k b - 1, so the same bounds on
-        r - 1 give the interior counts in the same pass. A walk of P alone
-        takes P's level alone, from the box of the other coordinates: at
-        k = 1 the projections save too few fibers to pay for their levels.
-        Any other walk starts from the box of the first coordinate, which is
-        P_1, and takes every level (see :meth:`_levels`).
-        The dtype is :func:`_exact_dtype` of :meth:`_walk_bound`. Raises
-        :class:`BudgetExceeded` for the first k whose box walk has more than
-        ``budget`` fibers, and, before it expands the last level's
-        intervals, for a collecting walk whose dilates hold more than
-        ``budget`` points in all.
+        r - 1 give the interior counts in the same pass. The dtype is
+        :func:`_exact_dtype` of :meth:`_walk_bound`. Raises
+        :class:`BudgetExceeded` for the first k whose box (see
+        :meth:`_box_fibers`) has more than ``budget`` fibers, and, before it
+        expands the last level's intervals, for a collecting walk whose
+        dilates hold more than ``budget`` points in all.
 
         Returns (closed_count, interior_count, points or None) per k, the
         points as an (N, n) array in lexicographic order, of the walk's dtype.
@@ -640,12 +596,12 @@ class Polytope:
             if fibers > self.budget:
                 raise BudgetExceeded(fibers, self.budget)
         plan = self._scan_plan()
-        levels = self._levels(ks[-1])
-        start = plan.order[: self.dim - len(levels)]
+        axis = plan.order[0]
+        span = (plan.los[axis], plan.his[axis]) if self.dim > 1 else None
         dtype = _exact_dtype(self._walk_bound(ks[-1]))
         steps = [
             (level, level.homogeneous.astype(dtype, copy=False), level.div.astype(dtype, copy=False))
-            for level in levels
+            for level in plan.levels
         ]
         labels = np.array(ks, dtype=dtype)
         closed = [0] * len(ks)
@@ -655,7 +611,7 @@ class Polytope:
         chunks = []
 
         def extend(depth, rows):
-            # at most level.rows rows: _box_rows and _expand cap them so
+            # at most level.rows rows: _start_rows and _expand cap them so
             level, homogeneous, div = steps[depth]
             r = homogeneous @ rows.T
             first, lengths = _fiber_intervals(r, level.runs, div, level.nneg, level.npos)
@@ -674,13 +630,13 @@ class Polytope:
             if collect:
                 chunks.append((rows, first, lengths[0]))
 
-        for rows in _box_rows(ks, plan.los, plan.his, start, steps[0][0].rows, dtype):
+        for rows in _start_rows(ks, span, steps[0][0].rows, dtype):
             extend(0, rows)
         if not collect:
             return [(c, i, None) for c, i in zip(closed, interior)]
         if sum(closed) > self.budget:
             raise BudgetExceeded(sum(closed), self.budget, "points")
-        rows = np.concatenate([x for chunk in chunks for x in _expand(*chunk, levels[-1].rows)])
+        rows = np.concatenate([x for chunk in chunks for x in _expand(*chunk, steps[-1][0].rows)])
         # sort by k, then x_0, ..., x_{n-1} (lexsort's last key is its first)
         columns = [0, *(plan.order.index(i) + 1 for i in range(self.dim))]
         order = np.lexsort([rows[:, c] for c in columns[::-1]])
@@ -689,10 +645,9 @@ class Polytope:
 
     def count_dilates(self, ks) -> None:
         """Count the dilates kP for the k >= 1 in ``ks`` that are not counted
-        yet, all in one walk, whose levels :meth:`_levels` picks from its
-        largest dilate. The walk stops before the first dilate over the
-        budget, which raises :class:`BudgetExceeded` only when its count is
-        asked for."""
+        yet, all in one walk. The walk stops before the first dilate over
+        the budget, which raises :class:`BudgetExceeded` only when its count
+        is asked for."""
         todo = sorted({k for k in ks if k >= 1 and ("Polytope._counts", k) not in self._memo})
         todo = list(itertools.takewhile(lambda k: self._box_fibers(k) <= self.budget, todo))
         if todo:
@@ -744,20 +699,6 @@ class Polytope:
 
     # -- combinatorics -------------------------------------------------------
 
-    @memo
-    def edges(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
-        """Vertex pairs that span a 1-dimensional face: the facets through
-        both meet in exactly the pair (see :func:`_meet`)."""
-        v = self.vertices
-        through = _through([_mask(f.vertices) for f in self.facets], len(v))
-        universe = (1 << len(v)) - 1
-        pairs = itertools.combinations(range(len(v)), 2)
-        return tuple(
-            (v[i], v[j])
-            for i, j in pairs
-            if _meet(through[i], 1 << i | 1 << j, universe) == 1 << i | 1 << j
-        )
-
     def is_smooth(self) -> bool:
         """Whether the toric variety of P is smooth: every vertex lies on
         exactly n facets, and their normals form a lattice basis
@@ -786,9 +727,9 @@ def build_polytope(points, budget: int = DEFAULT_BUDGET) -> Polytope:
     accepts, but not ``bool``). Non-vertex input points (convex combinations
     of the others) are discarded but reported on the result; degenerate
     input is a hard error because every downstream invariant assumes full
-    dimension. A dilate scan of the result that walks more than ``budget``
-    fibers, or collects more than ``budget`` points, raises
-    :class:`BudgetExceeded`.
+    dimension. A dilate scan of the result that reaches a dilate of more
+    than ``budget`` box fibers, or collects more than ``budget`` points,
+    raises :class:`BudgetExceeded`.
     """
     pts = [tuple(map(_coordinate, p)) for p in points]
     if not pts:

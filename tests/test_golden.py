@@ -1,7 +1,8 @@
-"""Golden digests of the CLI's JSON output.
+"""Golden digests of the CLI's output.
 
 Each entry pins the exit code and the sha256 of standard output of
-``analyze --json`` on one polytope, or of one seeded ``corpus --json`` run.
+``analyze --json`` on one polytope, of one seeded ``corpus --json`` run, or
+of ``examples``, whose printed values come from every registry entry.
 A kernel rewrite must keep every result and every byte of the reports, so
 any change here is a change of behaviour, not of speed. Every digest is
 checked on both routes of the exact array passes: as they come, which is
@@ -54,6 +55,8 @@ ANALYZE_DIGESTS = {
 CORPUS_ARGS = ["corpus", "--dim", "3", "--coord-bound", "2", "--count", "60", "--seed", "17", "--json"]
 CORPUS_DIGEST = (0, "d9f02c1643a57c55161fa263dd1c2f1a52964958af9feab6f4a2331f12e57711")
 
+EXAMPLES_DIGEST = (0, "6ece9299f0c6882bd1861a149391bf2dc112753b85948e4b8fa567f74a89ee18")
+
 
 def run(capsys, argv):
     """(exit code, sha256 of standard output) of one CLI run."""
@@ -81,3 +84,9 @@ def test_analyze_json_digest(name, python_ints, tmp_path, capsys):
 def test_corpus_json_digest(python_ints, capsys):
     with exact_route(python_ints):
         assert run(capsys, CORPUS_ARGS) == CORPUS_DIGEST
+
+
+@ROUTES
+def test_examples_digest(python_ints, capsys):
+    with exact_route(python_ints):
+        assert run(capsys, ["examples"]) == EXAMPLES_DIGEST
