@@ -1,12 +1,22 @@
 """Spanningness, IDP, sectional genus data, and the Castelnuovo property.
 
-IDP is checked dilate by dilate: every lattice point t of kP must be t = s + y
-with s in (k-1)P and y in P. Points get integer keys in one row-major box
-that holds kP - P, so key(t - y) = key(t) - key(y), and each y in P looks up
-the points of kP not yet covered in the sorted keys of (k-1)P at once. Each
-dilate's points come in lexicographic order, which is key order in a
-row-major box, so the keys come sorted. The box's size is their bound under
-the one overflow rule of ``geometry``.
+P is spanning when the differences of its lattice points generate Z^n. Their
+n x n Hermite basis is triangular, so it generates Z^n exactly when every
+pivot is 1, and then its invariant factors are n ones with no Smith normal
+form; otherwise the SNF of the basis gives them.
+
+A unimodular triangulation of P certifies IDP for every dilate at once
+(Bruns and Gubeladze, Polytopes, Rings, and K-Theory, chapter 2), so the IDP
+check reads the pulling triangulation first, whenever its depth reaches the
+dilates that the triangulation reads, and runs the lookup below only when a
+simplex has volume above 1. The lookup checks dilate by dilate: every
+lattice point t of kP must be t = s + y with s in (k-1)P and y in P. Points
+get integer keys in one row-major box that holds kP - P, so
+key(t - y) = key(t) - key(y), and each y in P looks up the points of kP not
+yet covered in the sorted keys of (k-1)P at once. Each dilate's points come
+in lexicographic order, which is key order in a row-major box, so the keys
+come sorted. The box's size is their bound under the one overflow rule of
+``geometry``.
 
 The Castelnuovo decision is implemented twice on purpose:
 
@@ -27,8 +37,10 @@ from math import prod
 import numpy as np
 
 from .exact_linalg import IntMatrix, hermite_basis, snf
-from .ehrhart import HStarVector, degree, hstar
+from .ehrhart import HStarVector, _reach, degree, hstar
+from .errors import BudgetExceeded
 from .geometry import LatticePoint, Polytope, _exact_dtype, memo
+from .triangulation import is_unimodular, pulling_triangulation
 
 STATUS_CERTIFIED = "certified-idp"
 STATUS_PARTIAL = "checked-up-to-kmax"
@@ -87,34 +99,54 @@ def is_spanning(p: Polytope) -> bool:
 def spanning_invariant_factors(p: Polytope) -> tuple[int, ...]:
     """Invariant factors of the lattice generated by the differences of P's
     lattice points from the lexicographically smallest one (chosen for
-    determinism): the Smith normal form of its n x n Hermite basis."""
+    determinism): the Smith normal form of its n x n Hermite basis, or n
+    ones when that basis has every pivot 1."""
     pts = p._points(1)
     # the first point is the smallest; a difference of two points of P is
     # at most the widest side of its box, within the scan's int64 bound
-    rows = (pts[1:] - pts[0]).tolist()
-    return snf(IntMatrix.from_rows(hermite_basis(rows))).d
+    basis = hermite_basis((pts[1:] - pts[0]).tolist())
+    if len(basis) == p.dim and all(b[i] == 1 for i, b in enumerate(basis)):
+        # triangular with unit diagonal: determinant 1, so it spans Z^n
+        return (1,) * p.dim
+    return snf(IntMatrix.from_rows(basis)).d
 
 
 def idp_check(p: Polytope, kmax: int | None = None) -> IdpVerdict:
     """Decide the integer decomposition property up to dilate ``kmax``.
 
     For k = 2..kmax it checks that every lattice point of kP is a sum of a
-    point of (k-1)P and a point of P, by one keyed lookup per point of P
-    (see :func:`_idp_up_to`); the witness of a failure is the
-    lexicographically smallest point of the first kP that is not such a
-    sum. The default kmax = max(2, n-1) makes a clean pass a full
+    point of (k-1)P and a point of P: at once when the pulling triangulation
+    is unimodular, or else by one keyed lookup per point of P (see
+    :func:`_idp_up_to`). The witness of a failure is the lexicographically
+    smallest point of the first kP that is not such a sum. The default kmax = max(2, n-1) makes a clean pass a full
     certificate: once (k+1)P = kP + P holds for all k up to n-1 it holds
     for all k (Ewald-Wessels / Bruns-Gubeladze-Trung), and the smaller
     dilates were checked directly.
     """
     if kmax is not None and kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    return _idp_up_to(p, max(2, p.dim - 1) if kmax is None else kmax)
+    return _idp_up_to(p, _idp_depth(p, kmax))
+
+
+def _idp_depth(p: Polytope, kmax: int | None = None) -> int:
+    """The depth that :func:`idp_check` checks to: ``kmax``, or by default
+    max(2, n-1), the depth that certifies IDP."""
+    return max(2, p.dim - 1) if kmax is None else kmax
 
 
 @memo
 def _idp_up_to(p: Polytope, k_top: int) -> IdpVerdict:
     """:func:`idp_check` to the resolved depth ``k_top``.
+
+    A unimodular triangulation of P certifies IDP, every dilate at once
+    (Bruns and Gubeladze, Polytopes, Rings, and K-Theory, chapter 2): a
+    point of kP lies in k times one of its unimodular simplices, and a
+    lattice point of a dilate of a unimodular simplex is a sum of k of its
+    vertices. The pulling triangulation reads P and the counts of the
+    dilates 1..K that h* reads (K = ``ehrhart._reach``), so it is read only
+    when k_top >= K, where the lookup below would read all of those too,
+    and its certificate gives the verdict that the lookup would: no
+    counterexample up to k_top. Otherwise the lookup runs.
 
     P is translated so that its box is [0, w]; kP then lies in [0, k w] and
     each t - y with t in kP and y in P in [-w, k w], the box of kP - P,
@@ -128,6 +160,15 @@ def _idp_up_to(p: Polytope, k_top: int) -> IdpVerdict:
     difference key(t) - key(y) lie strictly between minus and plus the
     box's size, which also ends the lookup table: it is the pass's bound.
     """
+    status = STATUS_CERTIFIED if k_top >= _idp_depth(p) else STATUS_PARTIAL
+    try:
+        if k_top >= _reach(p.dim) and is_unimodular(pulling_triangulation(p)):
+            return IdpVerdict(status, kmax_checked=k_top)
+    except BudgetExceeded:
+        # the lookup reads all that the triangulation read, so it refuses
+        # too, as it did without the certificate, or finds a counterexample
+        # on the way
+        pass
     lo = [min(c) for c in zip(*p.vertices)]
     w = [max(c) - m for c, m in zip(zip(*p.vertices), lo)]
 
@@ -157,7 +198,6 @@ def _idp_up_to(p: Polytope, k_top: int) -> IdpVerdict:
             witness = tuple(c + k * m for c, m in zip(row, lo))
             return IdpVerdict(STATUS_COUNTEREXAMPLE, kmax_checked=k, witness=(k, witness))
         prev = target
-    status = STATUS_CERTIFIED if k_top >= max(2, p.dim - 1) else STATUS_PARTIAL
     return IdpVerdict(status, kmax_checked=k_top)
 
 

@@ -80,10 +80,11 @@ def audit_polytope(p: Polytope) -> dict[str, str]:
     """Run the full audit battery on one polytope; every outcome is one of
     pass/fail/inapplicable, or skipped across the board on budget exhaustion."""
     try:
-        # collect P for the pulling first, then count in one walk every
-        # dilate that h*, degree and the Ehrhart round trip read
-        p._points(1)
-        p.count_dilates(range(1, 2 * p.dim + 1))
+        # one walk collects P, which the spanning test and the pulling read,
+        # and counts every dilate that h*, degree and the Ehrhart round trip
+        # read; IDP reads the certificate of a unimodular pulling
+        # triangulation where there is one, and collects no dilate then
+        p.count_dilates(range(1, 2 * p.dim + 1), [1])
         bm = betke_mcmullen_check(p)
         results: dict[str, str] = {}
         agree = is_castelnuovo(p).verdict == is_castelnuovo_direct(p).verdict

@@ -40,15 +40,21 @@ dilates of a request, each row labelled with its k. Every walk takes the
 whole chain, from P_1, the interval of P's first coordinate in the walk
 order (from no coordinate when n = 1). The scan budget counts, per dilate,
 the fibers of the box of kP over the coordinates other than the widest (a
-measure of kP's size: no walk walks that box), and the points that a
-collecting walk would expand, summed from its last level's interval
-lengths before it expands them.
+measure of kP's size: no walk walks that box), and the points of each
+dilate that a walk collects, summed from its last level's interval lengths
+before it expands them.
 
-A collecting walk keeps its last level's rows (k, x) and sorts them once,
-by k and then lexicographically in the standard coordinates. Each dilate's
-points are then one (N, n) array in that order, of the walk's dtype, which
-the spanning, IDP and pulling steps read as it is; ``lattice_points``
-builds the public frozenset from it on demand.
+A walk counts every dilate of its request and collects a chosen subset of
+them: it copies the last level's rows (k, x') of each collected dilate, with
+their intervals, out of the walk's arrays, so that no view keeps a chunk of
+the other dilates alive. Once the walk is done, it expands the rows of each
+collected dilate that holds at most ``budget`` points and sorts them
+lexicographically in the standard coordinates. Each dilate's points are
+then one (N, n) array in that order, of the walk's dtype, which the
+spanning, IDP and pulling steps read as it is; ``lattice_points`` builds
+the public frozenset from it on demand. :meth:`Polytope.count_dilates` is
+the one path to a walk: the counts, the points and the batched requests of
+h*, the corpus audit and the report all go through it.
 
 One rule keeps every array pass exact: a pass proves a bound on all it
 computes, and :func:`_exact_dtype` runs it on int64 numpy when the bound is
@@ -565,9 +571,9 @@ class Polytope:
         rows = max(level.rows for level in plan.levels)
         return max(2 * k * bound + 3, k * plan.reach + rows * (k * plan.width + 1))
 
-    def _scan(self, ks, collect: bool):
-        """Count, and optionally collect, the lattice points of the dilates
-        kP for the ascending ``ks`` in one walk.
+    def _scan(self, ks, collect):
+        """Count the lattice points of the dilates kP for the ascending
+        ``ks`` in one walk, and collect those of the dilates in ``collect``.
 
         The walk keeps rows (k, x'): the integer points x' of the projections
         of kP on the first coordinates of the plan's order. It starts from
@@ -580,21 +586,17 @@ class Polytope:
         level is P itself: its intervals, summed per k, are the counts, and
         on integers a.x < k b means a.x <= k b - 1, so the same bounds on
         r - 1 give the interior counts in the same pass. The dtype is
-        :func:`_exact_dtype` of :meth:`_walk_bound`. Raises
-        :class:`BudgetExceeded` for the first k whose box (see
-        :meth:`_box_fibers`) has more than ``budget`` fibers, and, before it
-        expands the last level's intervals, for a collecting walk whose
-        dilates hold more than ``budget`` points in all.
+        :func:`_exact_dtype` of :meth:`_walk_bound`. The caller keeps every
+        k within the budget of box fibers (see :meth:`_box_fibers`). The
+        last level's rows of a collected dilate, with their intervals, are
+        copied out of the walk's arrays, and expanded once the walk is done
+        only when the dilate holds at most ``budget`` points.
 
         Returns (closed_count, interior_count, points or None) per k, the
         points as an (N, n) array in lexicographic order, of the walk's dtype.
         """
         if ks[0] < 1:
             raise ValueError("dilation factor must be >= 1")
-        for k in ks:
-            fibers = self._box_fibers(k)
-            if fibers > self.budget:
-                raise BudgetExceeded(fibers, self.budget)
         plan = self._scan_plan()
         axis = plan.order[0]
         span = (plan.los[axis], plan.his[axis]) if self.dim > 1 else None
@@ -606,9 +608,9 @@ class Polytope:
         labels = np.array(ks, dtype=dtype)
         closed = [0] * len(ks)
         interior = [0] * len(ks)
-        # the last level's rows (k, x') with their intervals of the last
-        # coordinate, which a collecting walk expands to the rows (k, x)
-        chunks = []
+        # per collected k, the last level's rows (k, x') with their
+        # intervals of the last coordinate, which expand to the rows (k, x)
+        kept = {i: [] for i, k in enumerate(ks) if k in collect}
 
         def extend(depth, rows):
             # at most level.rows rows: _start_rows and _expand cap them so
@@ -627,40 +629,69 @@ class Polytope:
             for i in range(len(ks)):
                 closed[i] += running[0][i] - (running[0][i - 1] if i else 0)
                 interior[i] += running[1][i] - (running[1][i - 1] if i else 0)
-            if collect:
-                chunks.append((rows, first, lengths[0]))
+            if kept:
+                bounds = [0, *ends.tolist()]
+                for i, chunks in kept.items():
+                    if bounds[i] < bounds[i + 1]:
+                        # copies, so that no view keeps the walk's arrays alive
+                        part = slice(bounds[i], bounds[i + 1])
+                        chunks.append((rows[part].copy(), first[part].copy(), lengths[0, part].copy()))
 
         for rows in _start_rows(ks, span, steps[0][0].rows, dtype):
             extend(0, rows)
-        if not collect:
-            return [(c, i, None) for c, i in zip(closed, interior)]
-        if sum(closed) > self.budget:
-            raise BudgetExceeded(sum(closed), self.budget, "points")
-        rows = np.concatenate([x for chunk in chunks for x in _expand(*chunk, steps[-1][0].rows)])
-        # sort by k, then x_0, ..., x_{n-1} (lexsort's last key is its first)
-        columns = [0, *(plan.order.index(i) + 1 for i in range(self.dim))]
-        order = np.lexsort([rows[:, c] for c in columns[::-1]])
-        points = rows[order[:, None], columns[1:]]
-        return list(zip(closed, interior, np.split(points, np.cumsum(closed)[:-1])))
+        points = [None] * len(ks)
+        # sort each dilate's points by x_0, ..., x_{n-1} (lexsort's last key
+        # is its first); column 0 holds k
+        columns = [plan.order.index(i) + 1 for i in range(self.dim)]
+        for i, chunks in kept.items():
+            if closed[i] <= self.budget:
+                rows = np.concatenate([x for chunk in chunks for x in _expand(*chunk, steps[-1][0].rows)])
+                order = np.lexsort([rows[:, c] for c in columns[::-1]])
+                points[i] = rows[order[:, None], columns]
+        return list(zip(closed, interior, points))
 
-    def count_dilates(self, ks) -> None:
-        """Count the dilates kP for the k >= 1 in ``ks`` that are not counted
-        yet, all in one walk. The walk stops before the first dilate over
-        the budget, which raises :class:`BudgetExceeded` only when its count
-        is asked for."""
-        todo = sorted({k for k in ks if k >= 1 and ("Polytope._counts", k) not in self._memo})
-        todo = list(itertools.takewhile(lambda k: self._box_fibers(k) <= self.budget, todo))
+    def count_dilates(self, ks, collect=()) -> None:
+        """Count the dilates kP for the k >= 1 in ``ks``, and collect those
+        in ``collect``, that are not counted or collected yet, all in one
+        walk. The walk stops before the first dilate over the budget of box
+        fibers, and collects a dilate only when it holds at most ``budget``
+        points; what it leaves out raises :class:`BudgetExceeded` only when
+        it is asked for."""
+        table = self._memo
+        # a dilate counted before over the points budget is not walked again
+        want = {
+            k
+            for k in collect
+            if k >= 1
+            and ("Polytope._points", k) not in table
+            and table.get(("Polytope._counts", k), (0,))[0] <= self.budget
+        }
+        todo = want.union(k for k in ks if k >= 1 and ("Polytope._counts", k) not in table)
+        todo = list(itertools.takewhile(lambda k: self._box_fibers(k) <= self.budget, sorted(todo)))
         if todo:
-            for k, (closed, interior, _) in zip(todo, self._scan(todo, collect=False)):
-                self._memo[("Polytope._counts", k)] = (closed, interior)
+            for k, (closed, interior, points) in zip(todo, self._scan(todo, want)):
+                table[("Polytope._counts", k)] = (closed, interior)
+                if points is not None:
+                    points.flags.writeable = False
+                    table[("Polytope._points", k)] = points
+
+    def _refuse(self, k):
+        """Raise the :class:`BudgetExceeded` that keeps kP from a walk: its
+        box fibers, or else its points."""
+        fibers = self._box_fibers(k)
+        if fibers > self.budget:
+            raise BudgetExceeded(fibers, self.budget)
+        raise BudgetExceeded(self.lattice_count(k), self.budget, "points")
 
     @memo
     def _counts(self, k):
         """(closed, interior) lattice-point counts of kP; 0P is the origin."""
         if k == 0:
             return 1, 0
-        ((closed, interior, _),) = self._scan([k], collect=False)
-        return closed, interior
+        self.count_dilates([k])
+        if ("Polytope._counts", k) not in self._memo:
+            self._refuse(k)
+        return self._memo[("Polytope._counts", k)]
 
     def lattice_count(self, k: int) -> int:
         """|kP intersect Z^n| without materializing the point set."""
@@ -674,15 +705,15 @@ class Polytope:
     def _points(self, k: int) -> np.ndarray:
         """The integer points of the dilate kP as a read-only (N, n) array
         in lexicographic order, of the dtype of its walk (see :meth:`_scan`).
-        0P is the origin."""
+        0P is the origin. The walk that collects kP also counts it."""
         if k == 0:
             pts = np.zeros((1, self.dim), dtype=np.int64)
-        else:
-            ((closed, interior, pts),) = self._scan([k], collect=True)
-            # the collecting scan also counted, so later counts of kP need no scan
-            self._memo.setdefault(("Polytope._counts", k), (closed, interior))
-        pts.flags.writeable = False
-        return pts
+            pts.flags.writeable = False
+            return pts
+        self.count_dilates([k], [k])
+        if ("Polytope._points", k) not in self._memo:
+            self._refuse(k)
+        return self._memo[("Polytope._points", k)]
 
     def lattice_points(self, k: int) -> frozenset[LatticePoint]:
         """The integer points of the dilate kP; 0P is the origin."""

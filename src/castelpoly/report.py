@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .classification import (
+    _idp_depth,
     audit_bounds,
     genus_data,
     idp_check,
@@ -11,14 +12,16 @@ from .classification import (
     is_spanning,
     spanning_invariant_factors,
 )
-from .ehrhart import degree, hstar, normalized_volume
+from .ehrhart import _reach, degree, hstar, normalized_volume
 from .geometry import Polytope
 from .triangulation import betke_mcmullen_check, pulling_triangulation
 
 
 def build_report(p: Polytope, name: str = "polytope", kmax: int | None = None) -> dict:
-    # IDP's collecting scans also count their dilates, so hstar finds those
-    # counts and scans each dilate at most once
+    # one walk counts the dilates 1..K that hstar reads and collects those
+    # of them that IDP's lookup reads, so no dilate is scanned twice
+    top = _reach(p.dim)
+    p.count_dilates(range(1, top + 1), range(1, min(top, _idp_depth(p, kmax)) + 1))
     idp = idp_check(p, kmax)
     h = hstar(p)
     g = genus_data(h)

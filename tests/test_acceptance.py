@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import castelpoly
+import castelpoly.classification as classification
 from castelpoly.classification import (
     STATUS_CERTIFIED,
     STATUS_COUNTEREXAMPLE,
@@ -109,15 +110,21 @@ def test_family_a3_under_default_budget():
     print(f"family a=3 registry checks in {elapsed:.2f}s")
 
 
-def test_unit_6_cube_is_idp():
-    # the default depth max(2, n - 1) = 5 reaches 5P, whose 6^6 = 46,656
-    # points each need one decomposition
-    start = time.perf_counter()
-    verdict = idp_check(build_polytope(list(itertools.product((0, 1), repeat=6))))
-    elapsed = time.perf_counter() - start
-    assert verdict.status == STATUS_CERTIFIED
-    assert verdict.kmax_checked == 5
-    print(f"unit 6-cube certified IDP up to k = 5 in {elapsed:.2f}s")
+def test_unit_6_cube_is_idp(monkeypatch):
+    # the pulling triangulation of the 64 points is unimodular, which
+    # certifies IDP with no dilate beyond P; without that certificate, the
+    # lookup to the default depth max(2, n - 1) = 5 reaches 5P, whose
+    # 6^6 = 46,656 points each need one decomposition
+    cube = list(itertools.product((0, 1), repeat=6))
+    for route in ("certificate", "lookup"):
+        if route == "lookup":
+            monkeypatch.setattr(classification, "is_unimodular", lambda t: False)
+        start = time.perf_counter()
+        verdict = idp_check(build_polytope(cube))
+        elapsed = time.perf_counter() - start
+        assert verdict.status == STATUS_CERTIFIED
+        assert verdict.kmax_checked == 5
+        print(f"unit 6-cube certified IDP up to k = 5 by the {route} in {elapsed:.2f}s")
 
 
 def test_criterion_3_route_agreement(corpus):

@@ -1,4 +1,6 @@
+from contextlib import nullcontext
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from castelpoly.classification import (
 from castelpoly.ehrhart import HStarVector, hstar
 from castelpoly.errors import NotFullDimensional
 from castelpoly.exact_linalg import IntMatrix, snf
-from castelpoly.geometry import build_polytope
+from castelpoly.geometry import Polytope, build_polytope
 from castelpoly.registry import family_vertices, square_2x2_vertices
 
 from conftest import (
@@ -77,14 +79,23 @@ def full_matrix_factors(p):
     return snf(IntMatrix.from_rows(rows)).d
 
 
+def assert_spanning_matches_oracle(make):
+    """On both routes of the walk that collects P: the Hermite basis, read
+    without an SNF when its pivots are all 1, against the oracle."""
+    for python_ints in (False, True):
+        with exact_route(python_ints):
+            p = make()
+            assert spanning_invariant_factors(p) == full_matrix_factors(p)
+
+
 @settings(max_examples=200, deadline=None)
 @given(cloud=oracle_clouds)
 def test_spanning_matches_full_matrix_snf(cloud):
     try:
-        p = build_polytope(cloud)
+        build_polytope(cloud)
     except NotFullDimensional:
         return
-    assert spanning_invariant_factors(p) == full_matrix_factors(p)
+    assert_spanning_matches_oracle(lambda: build_polytope(cloud))
 
 
 @pytest.mark.parametrize(
@@ -98,8 +109,7 @@ def test_spanning_matches_full_matrix_snf(cloud):
     ],
 )
 def test_spanning_matches_full_matrix_snf_examples(make):
-    p = make()
-    assert spanning_invariant_factors(p) == full_matrix_factors(p)
+    assert_spanning_matches_oracle(make)
 
 
 def test_idp_cube():
@@ -144,10 +154,17 @@ def sumset_idp(p, k_top):
     return IdpVerdict(status, kmax_checked=k_top)
 
 
-def assert_idp_matches_oracle(p):
-    for kmax in (None, 2):
-        expected = sumset_idp(p, max(2, p.dim - 1) if kmax is None else kmax)
-        assert idp_check(p, kmax) == expected
+def assert_idp_matches_oracle(points):
+    """:func:`idp_check` of the polytope on ``points`` against the oracle,
+    twice: as it runs, reading the certificate of a unimodular pulling
+    triangulation where there is one, and with the keyed lookup alone."""
+    for lookup_only in (False, True):
+        bypass = mock.patch.object(classification, "is_unimodular", lambda t: False)
+        with bypass if lookup_only else nullcontext():
+            p = build_polytope(points)
+            for kmax in (None, 2):
+                expected = sumset_idp(p, max(2, p.dim - 1) if kmax is None else kmax)
+                assert idp_check(p, kmax) == expected
 
 
 # the IDP lookups on either route, the scans that feed them on int64
@@ -156,11 +173,11 @@ def assert_idp_matches_oracle(p):
 @given(cloud=oracle_clouds)
 def test_idp_matches_sumset_oracle(python_ints, cloud):
     try:
-        p = build_polytope(cloud)
+        build_polytope(cloud)
     except NotFullDimensional:
         return
     with exact_route(python_ints, classification):
-        assert_idp_matches_oracle(p)
+        assert_idp_matches_oracle(cloud)
 
 
 # a non-IDP 3-simplex: 2P holds (1, 1, 1), which is no sum of two of its
@@ -178,21 +195,53 @@ EMPTY_PYRAMID_4 = [(0, 0, 0, 0)] + [v + (1,) for v in EMPTY_SIMPLEX_3]
 )
 def test_idp_matches_sumset_oracle_on_fixed_cases(python_ints, points):
     with exact_route(python_ints, classification):
-        assert_idp_matches_oracle(build_polytope(points))
+        assert_idp_matches_oracle(points)
+
+
+def test_a_refused_triangulation_leaves_the_lookup_its_counterexample():
+    # the triangulation reads h*'s counts up to 3P, whose box fibers are over
+    # the budget; the lookup finds the counterexample in 2P before it needs 3P
+    p = build_polytope(EMPTY_PYRAMID_4, budget=27)
+    assert p._box_fibers(2) <= p.budget < p._box_fibers(3)
+    assert idp_check(p) == idp_check(build_polytope(EMPTY_PYRAMID_4))
+    assert idp_check(p).status == STATUS_COUNTEREXAMPLE
+
+
+def test_unimodular_idp_collects_nothing_beyond_p(monkeypatch):
+    collected = []
+    real = Polytope._scan
+
+    def spy(self, ks, collect):
+        collected.append(sorted(collect))
+        return real(self, ks, collect)
+
+    monkeypatch.setattr(Polytope, "_scan", spy)
+    # the certificate serves every depth from K = floor((n+2)/2) up; below
+    # the default depth it is a partial verdict
+    assert idp_check(unit_cube(3), 7) == IdpVerdict(STATUS_CERTIFIED, kmax_checked=7)
+    assert idp_check(square_2x2()) == IdpVerdict(STATUS_CERTIFIED, kmax_checked=2)
+    assert idp_check(unit_cube(5), 3) == IdpVerdict(STATUS_PARTIAL, kmax_checked=3)
+    assert collected == [[1], [], [1], [], [1], []]
+    # below K the certificate is not read, and the lookup collects 2P
+    collected.clear()
+    p = unit_cube(5)
+    assert idp_check(p, 2) == IdpVerdict(STATUS_PARTIAL, kmax_checked=2)
+    assert collected == [[1], [2]]
+    assert ("pulling_triangulation",) not in p._memo
 
 
 def test_idp_beyond_int64_is_exact():
     # shifted by 2^70, the points stay exact and the witness moves with them
     shift = (2**70, -(2**66), 5)
-    p = build_polytope([tuple(x + s for x, s in zip(v, shift)) for v in EMPTY_SIMPLEX_3])
-    assert_idp_matches_oracle(p)
-    assert idp_check(p).witness == (2, tuple(1 + 2 * s for s in shift))
+    points = [tuple(x + s for x, s in zip(v, shift)) for v in EMPTY_SIMPLEX_3]
+    assert_idp_matches_oracle(points)
+    assert idp_check(build_polytope(points)).witness == (2, tuple(1 + 2 * s for s in shift))
     # sheared by x += 2^60 z, the box of 2P - P has more than 2^63 cells, so
     # the keys run on Python ints
-    q = build_polytope([(x + 2**60 * z, y, z) for x, y, z in EMPTY_SIMPLEX_3])
+    points = [(x + 2**60 * z, y, z) for x, y, z in EMPTY_SIMPLEX_3]
     assert classification._exact_dtype(prod(3 * w + 1 for w in (2**61 + 1, 1, 2))) is object
-    assert_idp_matches_oracle(q)
-    assert idp_check(q).witness == (2, (1 + 2**60, 1, 1))
+    assert_idp_matches_oracle(points)
+    assert idp_check(build_polytope(points)).witness == (2, (1 + 2**60, 1, 1))
 
 
 def test_idp_partial_status():

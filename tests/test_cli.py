@@ -286,6 +286,16 @@ def test_analyze_refuses_a_collect_beyond_the_budget(tmp_path, capsys):
     )
 
 
+def test_analyze_certifies_idp_without_collecting_2p(tmp_path, capsys):
+    # 2P holds 25 points, over the budget; the unimodular pulling
+    # triangulation certifies IDP from P's 9 points and the counts of P and 2P
+    path = write(tmp_path, "square.json", '{"vertices": [[0, 0], [2, 0], [0, 2], [2, 2]]}')
+    assert main(["analyze", path, "--budget", "10"]) == 0
+    assert "idp:                 certified-idp (k <= 2)\n" in capsys.readouterr().out
+    assert main(["analyze", path, "--budget", "10", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["idp"]["status"] == "certified-idp"
+
+
 def test_corpus_text_reports_skips(capsys):
     args = ["corpus", "--dim", "3", "--coord-bound", "2", "--count", "5", "--seed", "1", "--budget", "5"]
     assert main(args) == 0

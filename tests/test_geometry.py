@@ -256,6 +256,20 @@ def test_collect_beyond_budget_is_refused(points, needed):
     assert build_polytope(points, budget=needed)._points(1).shape == (needed, len(points[0]))
 
 
+def test_a_walk_collects_only_the_dilates_within_the_budget(monkeypatch):
+    # P's 4 points fit the budget and 2P's 9 do not: the walk counts both and
+    # collects P, and asking for 2P's points refuses without another walk
+    p = build_polytope(list(itertools.product((0, 1), repeat=2)), budget=5)
+    p.count_dilates([1, 2], [1, 2])
+    walks = []
+    monkeypatch.setattr(geometry.Polytope, "_scan", lambda self, ks, collect: walks.append(ks))
+    assert p._points(1).shape == (4, 2)
+    with pytest.raises(BudgetExceeded, match="^dilate scan needs 9 points, budget is 5$"):
+        p._points(2)
+    assert p.lattice_count(2) == 9
+    assert walks == []
+
+
 def test_interior_count_of_zeroth_dilate():
     p = standard_simplex(2)
     assert p.lattice_count(0) == 1
@@ -347,10 +361,10 @@ def test_fiber_scan_matches_box_oracle(python_ints, cloud):
             e[:2] for e in expected
         ]
         # P alone takes the whole chain too, also when it only counts
-        assert p._scan([1], collect=False) == [(*expected[0][:2], None)]
-        assert_scan(p._scan(ks[1:], collect=True), expected[1:], python_ints)
+        assert p._scan([1], ()) == [(*expected[0][:2], None)]
+        assert_scan(p._scan(ks[1:], ks[1:]), expected[1:], python_ints)
         for k, e in zip(ks, expected):
-            assert_scan(p._scan([k], collect=True), [e], python_ints)
+            assert_scan(p._scan([k], [k]), [e], python_ints)
 
 
 def level_facets(level):
@@ -433,7 +447,7 @@ def test_every_walk_starts_from_one_coordinate(monkeypatch, collect):
     lo, hi = plan.los[plan.order[0]], plan.his[plan.order[0]]
     batches = ([1], [1, 2, 3, 4], [2], [3, 4])
     for ks in batches:
-        p._scan(ks, collect)
+        p._scan(ks, ks if collect else ())
     assert starts == [
         (tuple(ks), [[k, x] for k in ks for x in range(k * lo, k * hi + 1)]) for ks in batches
     ]

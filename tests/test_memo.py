@@ -10,12 +10,13 @@ from castelpoly.corpus import audit_polytope
 from castelpoly.ehrhart import hstar
 from castelpoly.errors import BudgetExceeded
 from castelpoly.geometry import Polytope, build_polytope
-from castelpoly.registry import family_vertices, nonspanning_dim4_vertices
+from castelpoly.registry import family_vertices, nonspanning_dim4_vertices, square_2x2_vertices
 from castelpoly.report import build_report
 from castelpoly.triangulation import pulling_triangulation
 
 
-def test_report_runs_one_snf(monkeypatch):
+def snf_calls(monkeypatch):
+    """The matrices that :func:`classification.snf` is called on from now."""
     calls = []
     real = classification.snf
 
@@ -24,11 +25,26 @@ def test_report_runs_one_snf(monkeypatch):
         return real(matrix)
 
     monkeypatch.setattr(classification, "snf", counting)
+    return calls
+
+
+def test_report_runs_one_snf(monkeypatch):
+    calls = snf_calls(monkeypatch)
     p = build_polytope(nonspanning_dim4_vertices())
     build_report(p, name="example-3-5")
     assert len(calls) == 1
     # the SNF sees the n x n Hermite basis, not all the lattice-point differences
     assert calls[0].rows == p.dim < p.lattice_count(1) - 1
+
+
+# a spanning polytope's Hermite basis has every pivot 1, which tells its
+# invariant factors without an SNF
+@pytest.mark.parametrize("vertices", [family_vertices(1), square_2x2_vertices()], ids=["family-a1", "square-2x2"])
+def test_report_of_a_spanning_input_runs_no_snf(monkeypatch, vertices):
+    calls = snf_calls(monkeypatch)
+    report = build_report(build_polytope(vertices), name="p")
+    assert report["spanning"] and report["spanning_invariant_factors"] == [1] * report["dim"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("vertices", [nonspanning_dim4_vertices(), family_vertices(2)])
@@ -46,16 +62,16 @@ def test_report_runs_one_volume_pass(monkeypatch, vertices):
     assert calls == [len(pulling_triangulation(p).maximal_simplices)]
 
 
-# Collecting scans of the dilates that the spanning, IDP and pulling steps
-# read, and count scans of the other dilates that hstar, degree and the
-# audit's Ehrhart round trip read. hstar counts the dilates 1..K,
-# K = floor((n+2)/2), not yet counted in one walk, P too when nothing
-# collected it first; the audit collects P and then counts 1..2n in one
-# walk, which serves hstar, degree and the round trip. No dilate is scanned
-# twice in the same mode, and a collecting scan also serves the counts of
-# its dilate. The report runs IDP before hstar, so it collects first.
-# Each case pins the walks, as (dilates, collect), and the number of dilate
-# scans they hold, which names the case.
+# Each walk counts some dilates and collects a subset of them: the dilates
+# whose points the spanning test, the IDP lookup and the pulling read. hstar
+# counts the dilates 1..K, K = floor((n+2)/2), not yet counted in one walk.
+# The audit makes one walk: it counts 1..2n, which serves hstar, degree and
+# the Ehrhart round trip, and collects P; IDP, where it runs, reads the
+# certificate of the unimodular pulling triangulation and collects nothing
+# more. The report counts 1..K and collects 1..min(K, kmax) in one walk, so
+# it scans no dilate twice. Each case pins the walks, as (dilates counted,
+# dilates collected), and the number of dilate scans they hold, which names
+# the case.
 @pytest.mark.parametrize(
     "vertices, run, scans, walks",
     [
@@ -63,43 +79,58 @@ def test_report_runs_one_volume_pass(monkeypatch, vertices):
             nonspanning_dim4_vertices(),
             build_report,
             3,
-            [((1,), True), ((2,), True), ((3,), False)],
+            [((1, 2, 3), (1, 2, 3))],
             id="vertices0-build_report-3",
         ),
         pytest.param(
             nonspanning_dim4_vertices(),
             audit_polytope,
             8,
-            [((1,), True), ((2, 3, 4, 5, 6, 7, 8), False)],
+            [((1, 2, 3, 4, 5, 6, 7, 8), (1,))],
             id="vertices1-audit_polytope-8",
         ),
         pytest.param(
             family_vertices(1),
             build_report,
             2,
-            [((1,), True), ((2,), True)],
+            [((1, 2), (1, 2))],
             id="vertices2-build_report-2",
         ),
         pytest.param(
             family_vertices(1),
             audit_polytope,
             6,
-            [((1,), True), ((2, 3, 4, 5, 6), False)],
+            [((1, 2, 3, 4, 5, 6), (1,))],
             id="vertices3-audit_polytope-6",
         ),
         pytest.param(
             family_vertices(1),
             lambda p: (p.lattice_points(3), p.lattice_count(3)),
             1,
-            [((3,), True)],
+            [((3,), (3,))],
             id="vertices4-<lambda>-1",
         ),
         pytest.param(
             nonspanning_dim4_vertices(),
             hstar,
             3,
-            [((1, 2, 3), False)],
+            [((1, 2, 3), ())],
             id="vertices5-hstar-3",
+        ),
+        # unimodular: both IDP audits run, on the certificate alone
+        pytest.param(
+            square_2x2_vertices(),
+            audit_polytope,
+            4,
+            [((1, 2, 3, 4), (1,))],
+            id="square-2x2-audit_polytope-4",
+        ),
+        pytest.param(
+            square_2x2_vertices(),
+            build_report,
+            2,
+            [((1, 2), (1, 2))],
+            id="square-2x2-build_report-2",
         ),
     ],
 )
@@ -108,17 +139,15 @@ def test_scans_per_analysis(monkeypatch, vertices, run, scans, walks):
     real = Polytope._scan
 
     def counting(self, ks, collect):
-        calls.append((tuple(ks), collect))
+        calls.append((tuple(ks), tuple(sorted(collect))))
         return real(self, ks, collect)
 
     monkeypatch.setattr(Polytope, "_scan", counting)
     run(build_polytope(vertices))
     assert calls == walks
-    scanned = [(k, collect) for ks, collect in calls for k in ks]
+    scanned = [k for ks, _ in calls for k in ks]
     assert len(scanned) == scans
     assert len(set(scanned)) == len(scanned)
-    if run is build_report:
-        assert len({k for k, _ in scanned}) == len(scanned)
 
 
 def test_budget_is_fixed_per_polytope():
